@@ -10,11 +10,12 @@ import numpy as np
 
 from .localspace import PolySpace
 from .tensorized import DEFAULT_BUDGET, TensorizedFunction
-from .train import (CPRep, TensorTrain, complexity, cost_cp, cost_dense,
-                    cost_sparse, cost_sum_ranks, cp_from_tensorized, cp_to_tt,
-                    maxrank_growth, maxrank_pair, tt_svd)
+from .train import (CPRep, TensorTrain, complexity, cost_cp, cost_sparse,
+                    cp_to_tt, maxrank_growth, maxrank_pair, tt_svd)
 
-MEASURES = ("N", "C", "S", "rmax", "R")
+_MEASURE_FIELDS = {"N": "sum_ranks", "C": "dense", "S": "sparse",
+                   "rmax": "rmax"}
+MEASURES = tuple(_MEASURE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,10 @@ class ClassSeminormEstimate:
 
 
 def _measure_value(report, measure: str) -> int:
-    if measure == "N":
-        return report.sum_ranks
-    if measure == "C":
-        return report.dense
-    if measure == "S":
-        return report.sparse
-    if measure == "rmax":
-        return report.rmax
-    if measure == "R":
-        if report.cp is None:
-            raise ValueError("measure R needs a CP representation")
-        return report.cp
-    raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    if measure not in _MEASURE_FIELDS:
+        raise ValueError(f"unknown measure {measure!r}; "
+                         f"choose from {MEASURES}")
+    return getattr(report, _MEASURE_FIELDS[measure])
 
 
 def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
@@ -138,6 +130,8 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
         raise ValueError("breakpoints must increase from 0 to 1")
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
+    if d_max < 1:
+        raise ValueError(f"d_max must be >= 1, got {d_max}")
     envelope_mass = sum(abs(v) ** p for v in a)
     jumps = [abs(a[i] - a[i + 1]) for i in range(len(a) - 1)]
     rows = []
@@ -196,8 +190,7 @@ def random_train(space: PolySpace, level: int, rng, max_rank: int = 3
     r_prev = 1
     cores = []
     for nu in range(level):
-        r = int(rng.integers(1, max_rank + 1)) if nu < level - 1 else \
-            int(rng.integers(1, max_rank + 1))
+        r = int(rng.integers(1, max_rank + 1))
         cores.append(rng.standard_normal((r_prev, b, r)))
         r_prev = r
     cores.append(rng.standard_normal((r_prev, dim, 1)))

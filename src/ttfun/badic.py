@@ -4,12 +4,14 @@ A point x in [0,1) is split into d base-b digits and a remainder,
 x = sum_k i_k b^-k + b^-d y.  Digit extraction works incrementally
 (multiply by b, take the integer part) so that it stays accurate for
 large d, where forming b**d would overflow or lose precision.
+`extract_digits` is the only digit extractor in the package.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,32 @@ def decode(c: BaseBCoordinate) -> float:
     return x
 
 
+def extract_digits(x, base: int, level: int) -> tuple:
+    """Digits, shape (level,) + x.shape, and remainders of x in [0,1); any
+    other point, NaN included, raises ValueError.
+
+    Digits stay unpacked because a packed cell index b**level overflows
+    int64 at the depths trains reach.
+    """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    # a copy; [()] makes 0-d input a numpy scalar, 4x faster in the loop
+    y = np.array(x, dtype=float)[()]
+    if not np.all((y >= 0.0) & (y < 1.0)):
+        raise ValueError("point outside [0, 1)")
+    digits = []
+    for _ in range(level):
+        # a double y < 1 gives y * base < base after rounding, so the floor
+        # is a digit and the exact remainder y - floor(y) stays in [0, 1)
+        y *= base
+        digit = np.floor(y)
+        y -= digit
+        digits.append(digit)
+    return np.array(digits, dtype=np.int64).reshape((level,) + y.shape), y
+
+
 def encode(x: float, base: int, level: int) -> BaseBCoordinate:
     """Split x in [0,1) into `level` base-`base` digits and a remainder.
 
@@ -50,26 +78,8 @@ def encode(x: float, base: int, level: int) -> BaseBCoordinate:
     on a cell boundary lands in the cell to its right (remainder 0), which
     matches the half-open cells [b^-d j, b^-d (j+1)).
     """
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x={x} outside [0, 1)")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    digits = []
-    y = x
-    for _ in range(level):
-        y *= base
-        i = int(y)
-        if i >= base:  # guard against rounding up at a cell boundary
-            i = base - 1
-        y -= i
-        if y >= 1.0:
-            y = math.nextafter(1.0, 0.0)
-        elif y < 0.0:
-            y = 0.0
-        digits.append(i)
-    return BaseBCoordinate(base, tuple(digits), y)
+    digits, y = extract_digits(x, base, level)
+    return BaseBCoordinate(base, tuple(digits.tolist()), float(y))
 
 
 def recompose(outer: BaseBCoordinate, inner: BaseBCoordinate) -> BaseBCoordinate:

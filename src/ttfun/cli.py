@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from .approx import (MEASURES, class_seminorm, density_sweep, error_curve,
-                     lemma_corpus)
+from .approx import MEASURES, density_sweep, error_curve, lemma_corpus
 from .localspace import PolySpace
 from .tensorized import DEFAULT_BUDGET, BudgetError, TensorizedFunction
-from .train import TensorTrain, complexity, tt_svd
+from .train import tt_svd
 
 
 class UsageError(Exception):
@@ -148,9 +147,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, out) -> None:
+    """Write text to the --out file, or to stdout when none is given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _validate(args) -> None:
     if getattr(args, "b", 2) < 2:
         raise UsageError("--b must be >= 2")
+    if getattr(args, "d", 0) < 0:
+        raise UsageError("--d must be >= 0")
     if getattr(args, "m", 0) is not None and isinstance(args.m, int) and args.m < 0:
         raise UsageError("--m must be >= 0")
     if getattr(args, "p", 1.0) is not None and getattr(args, "p", 1.0) <= 0:
@@ -177,12 +187,7 @@ def _cmd_ranks(args) -> int:
     profile = tf.rank_profile(tol=args.tol)
     lines = ["nu,r_nu"] + [f"{nu},{r}" for nu, r in
                            enumerate(profile.ranks, start=1)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -198,12 +203,7 @@ def _cmd_sweep(args) -> int:
         ranks = "|".join(str(r) for r in pt.ranks)
         lines.append(f"{pt.measure},{pt.n},{pt.level},{pt.p:g},"
                      f"{pt.error:.17g},{ranks}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -212,12 +212,7 @@ def _cmd_verify(args) -> int:
     report = lemma_corpus(b=args.b, degrees=degrees, d_max=args.d_max,
                           seed=args.seed, n_pairs=args.pairs,
                           fault=args.inject_fault)
-    text = json.dumps(report, indent=2, default=repr) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(report, indent=2, default=repr) + "\n", args.out)
     failures = [e["lemma"] for e in report if e["status"] != "pass"]
     if failures:
         print("FAILED: " + ", ".join(failures), file=sys.stderr)
@@ -236,12 +231,7 @@ def _cmd_density(args) -> int:
         lines.append(f"{r['d']},{r['error']:.17g},{r['error_p']:.17g},"
                      f"{r['bound_p']:.17g},{int(r['within_bound'])},"
                      f"{'' if r['slope'] is None else format(r['slope'], '.12g')}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(r["within_bound"] for r in rows) else 1
 
 

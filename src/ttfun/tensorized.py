@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .badic import extract_digits
 from .localspace import PolySpace, legendre_values
 
 DEFAULT_BUDGET = 2**26
@@ -33,26 +34,46 @@ class RankProfile:
     tol: float
 
 
-def _vector_encode(x: np.ndarray, base: int, level: int):
-    """Vectorized digit extraction matching badic.encode step for step."""
-    if np.any(x < 0.0) or np.any(x >= 1.0):
-        raise ValueError("evaluation point outside [0, 1)")
-    y = np.array(x, dtype=float)
-    cells = np.zeros(y.shape, dtype=np.int64)
-    for _ in range(level):
-        y *= base
-        dig = y.astype(np.int64)
-        np.minimum(dig, base - 1, out=dig)
-        y -= dig
-        np.clip(y, 0.0, np.nextafter(1.0, 0.0), out=y)
-        cells = cells * base + dig
-    return cells, y
+_EVAL_BLOCK = 1024
+
+
+def _evaluate(space: PolySpace, level: int, x, coeffs_at):
+    """Values at x (a float for scalar x) of a piecewise polynomial given
+    by `coeffs_at`, which maps the (level, n) digits of n points to the
+    (n, m+1) local coefficients of their cells.  Blocks of _EVAL_BLOCK
+    points bound the (n, rank) temporaries; a cell-wise CP has rank b^d."""
+    pts = np.asarray(x, dtype=float)
+    digits, y = extract_digits(pts.ravel(), space.base, level)
+    basis = legendre_values(space.degree, y).T
+    out = np.empty(y.size)
+    for s in range(0, y.size, _EVAL_BLOCK):
+        blk = slice(s, s + _EVAL_BLOCK)
+        out[blk] = np.sum(coeffs_at(digits[:, blk]) * basis[blk], axis=-1)
+    return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+
+
+def _unpack(raw: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
+    """Values of struct fmt at raw[pos:] and the offset after them."""
+    end = pos + struct.calcsize(fmt)
+    if len(raw) < end:
+        raise ValueError("file header is truncated")
+    return struct.unpack_from(fmt, raw, pos), end
+
+
+def _payload(raw: bytes, pos: int, count: int) -> np.ndarray:
+    """raw[pos:] as exactly `count` little-endian f64 values."""
+    if len(raw) - pos != 8 * count:
+        raise ValueError(f"payload has {len(raw) - pos} bytes, the header "
+                         f"implies {8 * count}")
+    return np.frombuffer(raw, dtype="<f8", offset=pos)
 
 
 class TensorizedFunction:
     """Immutable full representation of a function on the level-d grid."""
 
     def __init__(self, space: PolySpace, level: int, coeffs):
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
         coeffs = np.ascontiguousarray(coeffs, dtype=float)
         expected = (space.base,) * level + (space.dim,)
         if coeffs.shape != expected:
@@ -68,6 +89,8 @@ class TensorizedFunction:
     def tensorize(cls, f, space: PolySpace, level: int,
                   budget: int = DEFAULT_BUDGET) -> "TensorizedFunction":
         """Cell-wise L2 projection of f onto the level-d piecewise space."""
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
         b = space.base
         ncell = b**level
         if ncell * space.dim > budget:
@@ -97,13 +120,8 @@ class TensorizedFunction:
     # -- evaluation and norms ---------------------------------------------
 
     def __call__(self, x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        cells, y = _vector_encode(arr, self.base, self.level)
-        c = self.cell_coeffs[cells.ravel()]
-        vals = legendre_values(self.space.degree, y.ravel())  # (m+1, npts)
-        out = np.einsum("pk,kp->p", c, vals).reshape(arr.shape)
-        return float(out[0]) if scalar else out
+        return _evaluate(self.space, self.level, x,
+                         lambda digits: self.coeffs[tuple(digits)])
 
     def lp_norm(self, p: float) -> float:
         """L^p norm on [0,1); exact for p = 2 by orthonormality."""
@@ -312,20 +330,21 @@ class TensorizedFunction:
 
     @classmethod
     def load(cls, path, space: PolySpace | None = None) -> "TensorizedFunction":
+        """Read a QTTF file; a malformed file raises ValueError."""
         with open(path, "rb") as fh:
-            head = fh.read(struct.calcsize("<4sIIIB"))
-            magic, b, d, m, basis_id = struct.unpack("<4sIIIB", head)
-            if magic != _MAGIC_FULL:
-                raise ValueError(f"bad magic {magic!r}")
-            if basis_id != 0:
-                raise ValueError(f"unknown basis id {basis_id}")
-            data = np.frombuffer(fh.read(), dtype="<f8")
+            raw = fh.read()
+        (magic, b, d, m, basis_id), pos = _unpack(raw, 0, "<4sIIIB")
+        if magic != _MAGIC_FULL:
+            raise ValueError(f"bad magic {magic!r}")
+        if basis_id != 0:
+            raise ValueError(f"unknown basis id {basis_id}")
+        if d > 64:  # b^d >= 2^d elements could never be stored
+            raise ValueError(f"level {d} is too deep for a full tensor")
+        data = _payload(raw, pos, b**d * (m + 1))
         if space is None:
             space = PolySpace(m, b)
         elif space.base != b or space.degree != m:
             raise ValueError("file parameters do not match the given space")
-        if data.size != b**d * (m + 1):
-            raise ValueError("truncated coefficient payload")
         return cls(space, d, data.reshape((b,) * d + (m + 1,)))
 
     def to_csv(self, path) -> None:

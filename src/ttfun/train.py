@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .badic import encode
-from .localspace import PolySpace, legendre_values
-from .tensorized import DEFAULT_BUDGET, BudgetError, TensorizedFunction
+from .localspace import PolySpace
+from .tensorized import (DEFAULT_BUDGET, BudgetError, TensorizedFunction,
+                         _evaluate, _payload, _unpack)
 
 _MAGIC_TT = b"QTTT"
 
@@ -97,17 +97,12 @@ class TensorTrain:
     def __call__(self, x):
         """Evaluate by contracting one digit slice per core; never builds
         the full tensor."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(pts.shape)
-        for idx, xv in np.ndenumerate(pts):
-            c = encode(float(xv), self.base, self.level)
-            v = self.cores[0][0, c.digits[0], :]
-            for g, i in zip(self.cores[1:-1], c.digits[1:]):
-                v = v @ g[:, i, :]
-            coeffs = v @ self.cores[-1][:, :, 0]
-            out[idx] = coeffs @ legendre_values(self.space.degree, c.remainder)
-        return float(out.ravel()[0]) if scalar else out
+        def coeffs_at(digits):
+            v = self.cores[0][0, digits[0], :]  # (points, r_1)
+            for g, i in zip(self.cores[1:-1], digits[1:]):
+                v = np.einsum("pi,ipj->pj", v, g[:, i, :])
+            return v @ self.cores[-1][:, :, 0]
+        return _evaluate(self.space, self.level, x, coeffs_at)
 
     # -- structured arithmetic --------------------------------------------
 
@@ -255,28 +250,26 @@ class TensorTrain:
 
     @classmethod
     def load(cls, path, space: PolySpace | None = None) -> "TensorTrain":
+        """Read a QTTT file; a malformed file raises ValueError."""
         with open(path, "rb") as fh:
-            magic, b, d, m = struct.unpack("<4sIII", fh.read(16))
-            if magic != _MAGIC_TT:
-                raise ValueError(f"bad magic {magic!r}")
-            ranks = struct.unpack(f"<{d}I", fh.read(4 * d))
-            data = np.frombuffer(fh.read(), dtype="<f8")
+            raw = fh.read()
+        (magic, b, d, m), pos = _unpack(raw, 0, "<4sIII")
+        if magic != _MAGIC_TT:
+            raise ValueError(f"bad magic {magic!r}")
+        ranks, pos = _unpack(raw, pos, f"<{d}I")
+        ranks = (1,) + ranks
+        if min(ranks) < 1:
+            raise ValueError("ranks must be >= 1")
+        sizes = [b * r_prev * r for r_prev, r in zip(ranks, ranks[1:])]
+        data = _payload(raw, pos, sum(sizes) + ranks[-1] * (m + 1))
         if space is None:
             space = PolySpace(m, b)
         elif space.base != b or space.degree != m:
             raise ValueError("file parameters do not match the given space")
-        cores = []
-        pos = 0
-        r_prev = 1
-        for nu in range(d):
-            r = ranks[nu]
-            size = b * r_prev * r
-            g = data[pos:pos + size].reshape(b, r_prev, r)
-            cores.append(np.transpose(g, (1, 0, 2)))
-            pos += size
-            r_prev = r
-        cores.append(data[pos:pos + r_prev * (m + 1)]
-                     .reshape(r_prev, m + 1, 1))
+        chunks = np.split(data, np.cumsum(sizes))
+        cores = [np.transpose(g.reshape(b, r_prev, r), (1, 0, 2))
+                 for g, r_prev, r in zip(chunks, ranks, ranks[1:])]
+        cores.append(chunks[-1].reshape(ranks[-1], m + 1, 1))
         return cls(space, cores)
 
     def ranks_to_csv(self, path) -> None:
@@ -356,17 +349,14 @@ class CPRep:
         return self.space.base
 
     def __call__(self, x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(pts.shape)
-        for idx, xv in np.ndenumerate(pts):
-            c = encode(float(xv), self.base, self.level)
-            prod = np.ones(self.rank)
-            for w, i in zip(self.factors[:-1], c.digits):
-                prod = prod * w[i]
-            coeffs = self.factors[-1] @ prod
-            out[idx] = coeffs @ legendre_values(self.space.degree, c.remainder)
-        return float(out.ravel()[0]) if scalar else out
+        """Evaluate as the rank-wise product of one factor row per digit,
+        contracted with the coefficient factor."""
+        def coeffs_at(digits):
+            prod = self.factors[0][digits[0]]  # (points, rank)
+            for w, i in zip(self.factors[1:-1], digits[1:]):
+                prod *= w[i]
+            return prod @ self.factors[-1].T
+        return _evaluate(self.space, self.level, x, coeffs_at)
 
 
 def cp_to_tt(cp: CPRep) -> TensorTrain:
@@ -389,15 +379,10 @@ def cp_from_tensorized(tf: TensorizedFunction) -> CPRep:
     if cells.size == 0:
         cells = np.array([0])
     b, d = tf.base, tf.level
-    digits = np.empty((d, cells.size), dtype=np.int64)
-    rem = cells.copy()
-    for k in range(d - 1, -1, -1):
-        digits[k] = rem % b
-        rem //= b
     factors = []
-    for k in range(d):
+    for digit in np.unravel_index(cells, (b,) * d):
         w = np.zeros((b, cells.size))
-        w[digits[k], np.arange(cells.size)] = 1.0
+        w[digit, np.arange(cells.size)] = 1.0
         factors.append(w)
     factors.append(flat[cells].T)
     return CPRep(tf.space, factors)

@@ -44,6 +44,8 @@ def test_error_curve_indicator_level_error(space):
 def test_error_curve_measure_validation(space):
     with pytest.raises(ValueError):
         error_curve(lambda x: np.asarray(x), space, 2.0, "bogus", [2], [0.0])
+    with pytest.raises(ValueError):  # trains carry no CP measure
+        error_curve(lambda x: np.asarray(x), space, 2.0, "R", [2], [0.0])
     with pytest.raises(ValueError):
         error_curve(lambda x: np.asarray(x), space, 2.0, "N", [], [0.0])
 
@@ -106,6 +108,8 @@ def test_density_validation():
         density_sweep([0.1, 1.0], [1.0], 2, 1.0, 4)
     with pytest.raises(ValueError):
         density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], 2, 0.0, 4)
+    with pytest.raises(ValueError):
+        density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], 2, 1.0, 0)
 
 
 def test_corpus_functions_cover_cases():

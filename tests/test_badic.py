@@ -1,11 +1,32 @@
 """Base-b coordinate arithmetic: digit extraction, decoding, composition."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ttfun import BaseBCoordinate, decode, encode, recompose
+from ttfun.badic import extract_digits
+
+
+def reference_encode(x, base, level):
+    """The scalar digit loop `encode` used before `extract_digits` existed,
+    kept as the bit-for-bit reference for it."""
+    digits = []
+    y = x
+    for _ in range(level):
+        y *= base
+        i = int(y)
+        if i >= base:  # guard against rounding up at a cell boundary
+            i = base - 1
+        y -= i
+        if y >= 1.0:
+            y = math.nextafter(1.0, 0.0)
+        elif y < 0.0:
+            y = 0.0
+        digits.append(i)
+    return tuple(digits), y
 
 
 def test_decode_level_zero_is_identity():
@@ -56,13 +77,38 @@ def test_encode_one_third_base3():
 
 
 def test_encode_domain_errors():
-    for bad in (-0.1, 1.0, 1.5):
+    for bad in (-0.1, 1.0, 1.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             encode(bad, 2, 3)
-    with pytest.raises(ValueError):
-        encode(0.5, 1, 3)
-    with pytest.raises(ValueError):
-        encode(0.5, 2, -1)
+        with pytest.raises(ValueError):
+            extract_digits(np.array([[0.5, bad]]), 2, 3)
+    for fn in (encode, extract_digits):
+        with pytest.raises(ValueError):
+            fn(0.5, 1, 3)
+        with pytest.raises(ValueError):
+            fn(0.5, 2, -1)
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 10])
+def test_extract_digits_matches_reference_loop(b, rng):
+    """Digits and remainders equal the reference loop bit for bit, for
+    arrays and for scalars through encode, on random points, grid points
+    and the points just below 1."""
+    below_one = 1.0 - np.arange(1, 65) * 2.0**-53
+    pts = np.concatenate([rng.uniform(0.0, 1.0, size=400),
+                          np.arange(b**3) / b**3, below_one])
+    for level in range(41):
+        digits, rem = extract_digits(pts, b, level)
+        assert digits.shape == (level, pts.size)
+        for j, x in enumerate(pts):
+            want_digits, want_rem = reference_encode(float(x), b, level)
+            assert tuple(digits[:, j]) == want_digits
+            assert rem[j] == want_rem
+            if j % 8 == 0:
+                c = encode(float(x), b, level)
+                assert c.digits == want_digits
+                assert c.remainder == want_rem
+                assert type(c.remainder) is float
 
 
 def test_cell_boundary_maps_right():

@@ -76,6 +76,11 @@ def test_usage_errors_exit_2():
     assert run("nonsense") == 2
     assert run("sweep", "--func", "poly:1", "--d-grid", "2", "--tol-grid",
                "0", "--p", "-1") == 2
+    assert run("sweep", "--func", "poly:1", "--d-grid", "2", "--tol-grid",
+               "0", "--measure", "R") == 2
+    assert run("tensorize", "--func", "poly:1", "--d", "-1") == 2
+    assert run("density", "--func", "indicator:0,1/3,1:1,0",
+               "--d-max", "0") == 2
 
 
 def test_ranks_command(tmp_path):

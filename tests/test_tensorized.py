@@ -75,8 +75,16 @@ def test_eval_half_open_cells(space):
 
 def test_eval_domain_error(space):
     tf = TensorizedFunction.tensorize(lambda x: np.ones_like(x), space, 2)
+    for bad in (1.0, np.nan, np.array([0.5, np.nan]), np.array([[np.inf]])):
+        with pytest.raises(ValueError):
+            tf(bad)
+
+
+def test_negative_level_rejected(space):
     with pytest.raises(ValueError):
-        tf(1.0)
+        TensorizedFunction.tensorize(lambda x: np.asarray(x), space, -1)
+    with pytest.raises(ValueError):
+        TensorizedFunction(space, -1, np.zeros(space.dim))
 
 
 def test_lp_norm_constant(space):

@@ -78,6 +78,66 @@ def test_eval_matches_full(space, rng):
     assert np.max(np.abs(tt(xs) - tf(xs))) < 1e-11
 
 
+@pytest.mark.parametrize("b,d,m", [(2, 1, 0), (2, 7, 3), (3, 4, 2),
+                                   (5, 3, 1), (10, 2, 3)])
+def test_batched_eval_matches_full(b, d, m, rng):
+    """TT and CP evaluation agree with the full tensor on 2-D point arrays
+    and on scalars, which give floats."""
+    space = PolySpace(m, b)
+    tt = random_train(space, d, rng)
+    cp = random_cp(space, d, 3, rng)
+    xs = rng.uniform(0.0, 1.0, size=(7, 9))
+    for rep, full in ((tt, tt.to_full()), (cp, cp_to_tt(cp).to_full())):
+        want = full(xs)
+        got = rep(xs)
+        assert got.shape == xs.shape
+        scale = max(1.0, np.abs(want).max())
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        value = rep(0.4375)
+        assert type(value) is float
+        assert abs(value - full(0.4375)) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_cellwise_cp_eval_memory_bounded(rng):
+    """A cell-wise CP has rank b^d; evaluating 10000 points at d=10 (rank
+    1024) matches the full tensor and keeps its (points, rank) temporaries
+    to one block of points (unblocked, they peak near 165 MB)."""
+    import tracemalloc
+    tf = tensorize(np.sqrt, PolySpace(3, 2), 10)
+    cp = cp_from_tensorized(tf)
+    assert cp.rank == 1024
+    xs = rng.uniform(0.0, 1.0, 10000)
+    tracemalloc.start()
+    try:
+        got = cp(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert np.max(np.abs(got - tf(xs))) <= 1e-12
+
+
+def test_eval_rejects_points_outside(space, rng):
+    tt = random_train(space, 3, rng)
+    cp = random_cp(space, 3, 2, rng)
+    for rep in (tt, cp):
+        for bad in (np.nan, 1.0, -0.25, np.array([0.5, np.nan]),
+                    np.array([[0.1], [np.inf]])):
+            with pytest.raises(ValueError):
+                rep(bad)
+
+
+def test_deep_extension_evaluates_past_int64(rng):
+    """A b=10 train extended to level 20, where 10^20 cells overflow int64,
+    still evaluates to the level-2 function."""
+    space = PolySpace(3, 10)
+    tf = tensorize(lambda x: np.sin(2 * np.pi * np.asarray(x)), space, 2)
+    ext = tt_svd(tf, 0.0).extend_level(20)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, size=500),
+                         [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+    assert np.max(np.abs(ext(xs) - tf(xs))) < 1e-11
+
+
 def test_eval_constant_and_linear(space):
     tt = tt_svd(tensorize(lambda x: np.full_like(x, 2.0), space, 4), 0.0)
     assert abs(tt(0.9) - 2.0) < 1e-12
@@ -292,6 +352,38 @@ def test_tt_load_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(ValueError):
         TensorTrain.load(path)
+
+
+@pytest.mark.parametrize("kind", ["qttf", "qttt"])
+def test_load_rejects_corrupt_files(kind, space, tmp_path):
+    """Seeded corruption of a valid file: every truncation, padding and
+    change of a header field raises ValueError."""
+    rng = np.random.default_rng(20)
+    path = tmp_path / f"f.{kind}"
+    if kind == "qttf":
+        cls = TensorizedFunction
+        cls.tensorize(lambda x: np.asarray(x) ** 2, space, 3).save(path)
+        fields = [4, 8, 12]  # b, d, m
+    else:
+        cls = TensorTrain
+        random_train(space, 3, rng).save(path)
+        fields = [4, 8, 12, 16, 20, 24]  # b, d, m, ranks
+    good = path.read_bytes()
+    cls.load(path)
+    bad = [good[:n] for n in range(len(good))]
+    bad += [good + rng.bytes(int(n)) for n in rng.integers(1, 40, size=8)]
+    for pos in fields:
+        for value in (0, 1, 7, 2**31, 2**32 - 1):
+            old = int.from_bytes(good[pos:pos + 4], "little")
+            if value != old:
+                bad.append(good[:pos] + value.to_bytes(4, "little")
+                           + good[pos + 4:])
+    if kind == "qttf":
+        bad.append(good[:16] + b"\x01" + good[17:])  # basis id
+    for data in bad:
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            cls.load(path)
 
 
 def test_ranks_to_csv(space, rng, tmp_path):
