@@ -223,6 +223,8 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
     "rounding-split" disables the per-step tolerance split during the
     rounding-accuracy suite, which makes that suite fail by construction.
     """
+    if d_max < 2:  # the pair and train suites draw levels from 2..d_max
+        raise ValueError(f"d_max must be >= 2, got {d_max}")
     rng = np.random.default_rng(seed)
     report = []
     if not degrees:

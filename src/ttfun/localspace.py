@@ -12,6 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def basis_sup(degree: int) -> np.ndarray:
+    """sqrt(2k+1), k = 0..degree: the scale of the orthonormal basis, and
+    the sup of |L_k| on [0,1], reached at y = 1."""
+    return np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+
+
 def legendre_values(degree: int, y) -> np.ndarray:
     """Orthonormal shifted-Legendre values, shape (degree+1,) + y.shape."""
     y = np.asarray(y, dtype=float)
@@ -22,27 +28,41 @@ def legendre_values(degree: int, y) -> np.ndarray:
         out[1] = t
     for k in range(1, degree):
         out[k + 1] = ((2 * k + 1) * t * out[k] - k * out[k - 1]) / (k + 1)
-    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
-    return out * scale.reshape((-1,) + (1,) * t.ndim)
+    return out * basis_sup(degree).reshape((-1,) + (1,) * t.ndim)
 
 
-def _legendre_derivative_values(degree: int, y) -> np.ndarray:
-    """Derivatives of the orthonormal shifted-Legendre basis at y."""
-    y = np.asarray(y, dtype=float)
-    t = 2.0 * y - 1.0
-    p = np.empty((degree + 1,) + t.shape)
-    dp = np.empty_like(p)
-    p[0] = 1.0
-    dp[0] = 0.0
-    if degree >= 1:
-        p[1] = t
-        dp[1] = 1.0
-    for k in range(1, degree):
-        p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
-        dp[k + 1] = dp[k - 1] + (2 * k + 1) * p[k]
-    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
-    # chain rule for t = 2y - 1
-    return 2.0 * dp * scale.reshape((-1,) + (1,) * t.ndim)
+def real_roots(coeffs) -> np.ndarray:
+    """Real parts of the roots of each row of `coeffs` (n, m+1), clipped
+    to [0, 1]: shape (n, m), a row of degree q < m padded with 0.0.
+
+    Every entry is a point of [0, 1] and every real root in [0, 1] is an
+    entry, so the max of |p| over entries and endpoints is its sup, and
+    cuts at the entries leave pieces of one sign, with no tolerance.  The
+    roots are the eigenvalues of the colleague matrix (Good, Q. J. Math.
+    1961): by y L_k = b_{k+1} L_{k+1} + L_k/2 + b_k L_{k-1}, with
+    b_k = k / (2 sqrt(4k^2 - 1)), the q x q Jacobi matrix with
+    b_q c[:q]/c_q subtracted from its last row; one stacked eigvals call
+    serves all rows of one degree.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    n, m = c.shape[0], c.shape[1] - 1
+    out = np.zeros((n, m))
+    # A trailing coefficient within the rounding error of evaluating its row,
+    # eps * sum_k |c_k| sqrt(2k+1), does not count towards the degree:
+    # dividing by it would fill the matrix with entries of order 1/eps.
+    size = np.abs(c) @ basis_sup(m)
+    big = np.abs(c) > np.finfo(float).eps * size[:, None]
+    deg = np.where(big.any(axis=1), m - np.argmax(big[:, ::-1], axis=1), 0)
+    k = np.arange(1.0, m + 1.0)
+    beta = k / (2.0 * np.sqrt(4.0 * k * k - 1.0))  # beta[k-1] = b_k
+    jacobi = (np.diag(np.full(m, 0.5)) + np.diag(beta[:-1], 1)
+              + np.diag(beta[:-1], -1))
+    for q in range(1, m + 1):
+        rows = np.nonzero(deg == q)[0]
+        mats = np.repeat(jacobi[None, :q, :q], rows.size, axis=0)
+        mats[:, -1, :] -= beta[q - 1] * c[rows, :q] / c[rows, q:q + 1]
+        out[rows, :q] = np.clip(np.linalg.eigvals(mats).real, 0.0, 1.0)
+    return out
 
 
 class PolySpace:
@@ -76,8 +96,12 @@ class PolySpace:
         dil.setflags(write=False)
         self.dilation_matrices = dil
 
-        dvals = _legendre_derivative_values(degree, self.nodes)
-        diff = self._proj @ dvals.T
+        # L_k' = 2 sum_{j<k, k-j odd} sqrt((2j+1)(2k+1)) L_j, so the
+        # matrix is strictly upper triangular: a derivative row ends in an
+        # exact zero, and its powers past the degree vanish exactly.
+        j, k = np.indices((self.dim, self.dim))
+        diff = np.where((j < k) & ((k - j) % 2 == 1),
+                        2.0 * np.sqrt((2.0 * j + 1.0) * (2.0 * k + 1.0)), 0.0)
         diff.setflags(write=False)
         self.diff_matrix = diff
 
@@ -103,7 +127,7 @@ class PolySpace:
     def eval(self, coeffs, y):
         """Evaluate sum_k c_k L_k at y in [0,1) (scalar or array)."""
         arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        if not np.all((arr >= 0.0) & (arr < 1.0)):
             raise ValueError("evaluation point outside [0, 1)")
         vals = legendre_values(self.degree, arr)
         return np.tensordot(np.asarray(coeffs, dtype=float), vals, axes=(0, 0))
@@ -137,16 +161,13 @@ class PolySpace:
         cols = [self.project(lambda y, q=q: y**q) for q in range(self.dim)]
         return np.column_stack(cols)
 
-    def max_abs(self, coeffs, tol: float = 1e-9) -> float:
-        """Sup of |polynomial| on [0,1): endpoint and critical-point search."""
+    def max_abs(self, coeffs):
+        """Max of |p| on [0, 1] over the endpoints and the critical points:
+        a float for one row (m+1,), shape (n,) for rows (n, m+1)."""
         c = np.asarray(coeffs, dtype=float)
-        if self.degree == 0:
-            return abs(c[0])
-        scale = np.sqrt(2.0 * np.arange(self.degree + 1) + 1.0)
-        poly = np.polynomial.legendre.Legendre(c * scale, domain=[0.0, 1.0])
-        cand = [0.0, 1.0]
-        roots = poly.deriv().roots()
-        for r in roots:
-            if abs(r.imag) < tol and -tol <= r.real <= 1.0 + tol:
-                cand.append(min(max(r.real, 0.0), 1.0))
-        return float(np.max(np.abs(poly(np.asarray(cand)))))
+        rows = c.reshape(-1, self.dim)
+        crit = real_roots(rows @ self.diff_matrix.T)
+        cand = np.pad(crit, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+        vals = np.einsum("nk,knj->nj", rows, legendre_values(self.degree, cand))
+        out = np.max(np.abs(vals), axis=1)
+        return float(out[0]) if c.ndim == 1 else out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .badic import extract_digits
-from .localspace import PolySpace, legendre_values
+from .localspace import PolySpace, basis_sup, legendre_values, real_roots
 
 DEFAULT_BUDGET = 2**26
 _MAGIC_FULL = b"QTTF"
@@ -34,22 +34,78 @@ class RankProfile:
     tol: float
 
 
-_EVAL_BLOCK = 1024
+# Points or cells per block: bounds the (n, rank) temporaries of evaluation
+# (a cell-wise CP has rank b^d) and the per-cell arrays of the norms.
+_BLOCK = 1024
 
 
 def _evaluate(space: PolySpace, level: int, x, coeffs_at):
     """Values at x (a float for scalar x) of a piecewise polynomial given
     by `coeffs_at`, which maps the (level, n) digits of n points to the
-    (n, m+1) local coefficients of their cells.  Blocks of _EVAL_BLOCK
-    points bound the (n, rank) temporaries; a cell-wise CP has rank b^d."""
+    (n, m+1) local coefficients of their cells, _BLOCK points at a time."""
     pts = np.asarray(x, dtype=float)
     digits, y = extract_digits(pts.ravel(), space.base, level)
     basis = legendre_values(space.degree, y).T
     out = np.empty(y.size)
-    for s in range(0, y.size, _EVAL_BLOCK):
-        blk = slice(s, s + _EVAL_BLOCK)
+    for s in range(0, y.size, _BLOCK):
+        blk = slice(s, s + _BLOCK)
         out[blk] = np.sum(coeffs_at(digits[:, blk]) * basis[blk], axis=-1)
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+
+
+def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
+    """(sum_j b^{d(kp-1)} ||p_j||_p^p)^{1/p} over the cell rows `flat`
+    (n, m+1), and b^{dk} max_j ||p_j||_inf for p = inf: the L^p norm for
+    k = 0, the broken W^{k,p} seminorm when the rows are k-th derivatives."""
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    b, d = float(space.base), level
+    if np.isinf(p):
+        return b ** (d * k) * _sup_abs(space, flat)
+    if p == 2:
+        total = np.sum(flat * flat)
+    else:
+        total = np.sum(_abs_power_cell_integrals(space, flat, p))
+    return float((b ** (d * (k * p - 1)) * total) ** (1.0 / p))
+
+
+def _sup_abs(space: PolySpace, flat) -> float:
+    """max_j sup |p_j| on [0,1].  Only cells whose bound sum_k |c_k|
+    sqrt(2k+1) (as |L_k| <= sqrt(2k+1)) exceeds the best endpoint value
+    can hold a larger interior maximum, so only they reach `max_abs`."""
+    ends = flat @ legendre_values(space.degree, np.array([0.0, 1.0]))
+    best = float(np.max(np.abs(ends)))
+    rest = flat[np.abs(flat) @ basis_sup(space.degree) > best]
+    for s in range(0, rest.shape[0], _BLOCK):
+        best = max(best, float(np.max(space.max_abs(rest[s:s + _BLOCK]))))
+    return best
+
+
+def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
+    """Per-cell integrals of |p_j|^p over the reference interval.
+
+    A cell with |c_0| >= sum_{k>=1} |c_k| sqrt(2k+1) keeps one sign and
+    gets a single Gauss rule, exact for integer p.  Every other cell is
+    cut at the roots from `real_roots` into pieces of one sign, each with
+    the same rule, so integer p stays exact there too.
+    """
+    m = space.degree
+    nq = max((m * int(np.ceil(p)) + 2) // 2 + 1, m + 2)
+    t, w = np.polynomial.legendre.leggauss(nq)
+    yq, wq = 0.5 * (t + 1.0), 0.5 * w
+    out = np.abs(flat @ legendre_values(m, yq)) ** p @ wq
+    bound = np.abs(flat[:, 1:]) @ basis_sup(m)[1:]
+    mixed = np.nonzero(np.abs(flat[:, 0]) < bound)[0]
+    for s in range(0, mixed.size, _BLOCK):
+        cells = mixed[s:s + _BLOCK]
+        c = flat[cells]
+        edges = np.pad(np.sort(real_roots(c), axis=1), ((0, 0), (1, 1)),
+                       constant_values=(0.0, 1.0))
+        width = np.diff(edges, axis=1)  # (n, m+1) pieces
+        ys = edges[:, :-1, None] + width[..., None] * yq
+        vals = np.einsum("nk,knsq->nsq", c, legendre_values(m, ys))
+        out[cells] = np.sum(width * (np.abs(vals) ** p @ wq), axis=1)
+    return out
 
 
 def _unpack(raw: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
@@ -124,104 +180,16 @@ class TensorizedFunction:
                          lambda digits: self.coeffs[tuple(digits)])
 
     def lp_norm(self, p: float) -> float:
-        """L^p norm on [0,1); exact for p = 2 by orthonormality."""
-        if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
-        b, d = self.base, self.level
-        flat = self.cell_coeffs
-        if p == 2:
-            return float(np.sqrt(float(b) ** (-d) * np.sum(flat * flat)))
-        if np.isinf(p):
-            return self._max_abs()
-        cellint = self._abs_power_cell_integrals(p)
-        return float((float(b) ** (-d) * cellint.sum()) ** (1.0 / p))
-
-    def _abs_power_cell_integrals(self, p: float) -> np.ndarray:
-        """Per-cell integrals of |g|^p over the reference interval.
-
-        Cells where the local polynomial keeps one sign use a single Gauss
-        rule, which is exact for integer p.  Sign-changing cells are split
-        at the real roots of the polynomial so the absolute value never
-        spoils the quadrature degree.
-        """
-        space = self.space
-        m = space.degree
-        flat = self.cell_coeffs
-        nq = max((m * int(np.ceil(p)) + 2) // 2 + 1, m + 2)
-        t, w = np.polynomial.legendre.leggauss(nq)
-        yq = 0.5 * (t + 1.0)
-        wq = 0.5 * w
-        vq = legendre_values(m, yq)  # (m+1, nq)
-        cellint = np.abs(flat @ vq) ** p @ wq
-        if m == 0:
-            return cellint
-        # flag cells whose values change sign on a dense uniform grid
-        grid = np.linspace(0.0, 1.0, 4 * space.dim + 1)
-        gv = flat @ legendre_values(m, grid)
-        flagged = np.nonzero((gv.min(axis=1) < 0.0) & (gv.max(axis=1) > 0.0))[0]
-        scale = np.sqrt(2 * np.arange(m + 1) + 1.0)
-        for j in flagged:
-            poly = np.polynomial.legendre.Legendre(flat[j] * scale,
-                                                   domain=[0.0, 1.0])
-            roots = poly.roots()
-            cuts = np.real(roots[(np.abs(np.imag(roots)) < 1e-12)
-                                 & (np.real(roots) > 0.0)
-                                 & (np.real(roots) < 1.0)])
-            edges = np.concatenate(([0.0], np.sort(cuts), [1.0]))
-            total = 0.0
-            for a, c in zip(edges[:-1], edges[1:]):
-                if c <= a:
-                    continue
-                ys = a + (c - a) * yq
-                seg = flat[j] @ legendre_values(m, ys)
-                total += (c - a) * float(np.abs(seg) ** p @ wq)
-            cellint[j] = total
-        return cellint
-
-    def _max_abs(self, tol: float = 1e-9) -> float:
-        """Sup-norm via a vectorized grid prefilter plus exact cell maxima."""
-        space = self.space
-        flat = self.cell_coeffs
-        m = space.degree
-        if m == 0:
-            return float(np.max(np.abs(flat)))
-        ngrid = 8 * space.dim + 1
-        grid = np.linspace(0.0, 1.0, ngrid)
-        gv = legendre_values(m, grid)  # (m+1, ngrid)
-        cellmax = np.max(np.abs(flat @ gv), axis=1)
-        best = cellmax.max()
-        if best == 0.0:
-            return 0.0
-        # Markov-type safety margin for the grid underestimate.
-        margin = 1.0 - m * m / (ngrid - 1.0)
-        margin = max(margin, 0.5)
-        out = 0.0
-        for j in np.nonzero(cellmax >= margin * best)[0]:
-            out = max(out, space.max_abs(flat[j], tol=tol))
-        return float(out)
+        """L^p norm on [0,1); exact for p = 2 by orthonormality, for
+        p = inf, and up to roundoff for integer p."""
+        return _cell_norm(self.space, self.level, self.cell_coeffs, 0, p)
 
     def sobolev_seminorm(self, k: int, p: float) -> float:
         """Broken W^{k,p} seminorm: cell derivative norms with b^{d(kp-1)}."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
-        if k == 0:
-            return self.lp_norm(p)
-        space = self.space
-        b, d = self.base, self.level
-        dk = np.linalg.matrix_power(space.diff_matrix, k) if k <= space.degree \
-            else np.zeros((space.dim, space.dim))
-        der = self.cell_coeffs @ dk.T
-        if np.isinf(p):
-            piece = TensorizedFunction(space, d, der.reshape(self.coeffs.shape))
-            return float(b) ** (d * k) * piece._max_abs()
-        if p == 2:
-            total = np.sum(der * der)
-        else:
-            piece = TensorizedFunction(space, d, der.reshape(self.coeffs.shape))
-            total = float(piece._abs_power_cell_integrals(p).sum())
-        return float((float(b) ** (d * (k * p - 1)) * total) ** (1.0 / p))
+        dk = np.linalg.matrix_power(self.space.diff_matrix, k)
+        return _cell_norm(self.space, self.level, self.cell_coeffs @ dk.T, k, p)
 
     # -- ranks and slicing ------------------------------------------------
 

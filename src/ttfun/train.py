@@ -448,17 +448,11 @@ def complexity(rep, eta: float = 0.0, minimize_level: bool = False,
     With minimize_level=True the train is re-canonicalized at the minimal
     representation level before measuring (when the full tensor fits the
     budget); otherwise measures refer to the representation as given and
-    level_is_minimal is left unverified (None).
+    level_is_minimal is left unverified (None).  A CP is measured as the
+    train cp_to_tt(cp), read off its factors unless the level is minimized.
     """
-    if isinstance(rep, CPRep):
-        tt = cp_to_tt(rep)
-        base = complexity(tt, eta=eta, minimize_level=minimize_level,
-                          budget=budget, level_tol=level_tol)
-        return ComplexityReport(base.max_rank, base.rmax, base.sum_ranks,
-                                base.dense, base.sparse, base.level,
-                                cp=cost_cp(rep),
-                                level_is_minimal=base.level_is_minimal)
-    tt = rep
+    cp = cost_cp(rep) if isinstance(rep, CPRep) else None
+    tt = cp_to_tt(rep) if cp is not None and minimize_level else rep
     verified: bool | None = None
     if minimize_level:
         try:
@@ -471,15 +465,21 @@ def complexity(rep, eta: float = 0.0, minimize_level: bool = False,
                 coarse = coarse.relevel_up(1)
             tt = tt_svd(coarse, 0.0)
             verified = True
-    ranks = tt.ranks
+    if isinstance(tt, CPRep):
+        # cp_to_tt(tt) has ranks (rank,)*level, and its diagonal cores hold
+        # exactly the nonzero entries and the peak of each factor
+        ranks, cores = (tt.rank,) * tt.level, tt.factors
+    else:
+        ranks, cores = tt.ranks, tt.cores
     b, dim = tt.base, tt.space.dim
     return ComplexityReport(
         max_rank=max(ranks),
         rmax=cost_rmax(ranks, b, tt.level, dim),
         sum_ranks=cost_sum_ranks(ranks),
         dense=cost_dense(ranks, b, dim),
-        sparse=cost_sparse(tt.cores, eta=eta),
+        sparse=cost_sparse(cores, eta=eta),
         level=tt.level,
+        cp=cp,
         level_is_minimal=verified,
     )
 

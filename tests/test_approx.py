@@ -141,6 +141,12 @@ def test_lemma_corpus_empty_degrees_vacuous():
     assert all(e["status"] == "pass" for e in report)
 
 
+def test_lemma_corpus_rejects_shallow_d_max():
+    for d_max in (1, 0, -3):
+        with pytest.raises(ValueError, match="d_max must be >= 2"):
+            lemma_corpus(b=2, degrees=(1,), d_max=d_max, n_pairs=2)
+
+
 def test_lemma_corpus_fault_injection():
     report = lemma_corpus(b=2, degrees=(3,), d_max=6, n_pairs=6,
                           fault="rounding-split")

@@ -81,6 +81,7 @@ def test_usage_errors_exit_2():
     assert run("tensorize", "--func", "poly:1", "--d", "-1") == 2
     assert run("density", "--func", "indicator:0,1/3,1:1,0",
                "--d-max", "0") == 2
+    assert run("verify", "--d-max", "1") == 2
 
 
 def test_ranks_command(tmp_path):

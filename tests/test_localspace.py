@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttfun import PolySpace, legendre_values
+from ttfun.localspace import real_roots
 
 
 def hi_res_inner(f, g, n=200):
@@ -71,8 +72,9 @@ def test_eval_zero(space):
 
 
 def test_eval_domain_error(space):
-    with pytest.raises(ValueError):
-        space.eval(np.zeros(space.dim), 1.0)
+    for bad in (1.0, np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError):
+            space.eval(np.zeros(space.dim), bad)
 
 
 def test_dilate_constant_fixed(space):
@@ -180,6 +182,67 @@ def test_max_abs(space):
     assert abs(space.max_abs(c) - 0.25) < 1e-9
     c = space.project(lambda y: np.full_like(y, -2.0))
     assert abs(space.max_abs(c) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+def test_max_abs_grid_bracket(m, rng):
+    """Dense-grid oracle: grid max <= sup <= grid max + h/2 max|p'|, with
+    max|p'| bounded through numpy's own Legendre derivative (|P_j| <= 1)."""
+    sp = PolySpace(m, 2)
+    rows = rng.standard_normal((200, sp.dim))
+    grid = np.linspace(0.0, 1.0, 4001)
+    gridmax = np.max(np.abs(rows @ legendre_values(m, grid)), axis=1)
+    scale = np.sqrt(2.0 * np.arange(m + 1) + 1.0)
+    slope = np.array([2.0 * np.sum(np.abs(np.polynomial.legendre.legder(c)))
+                      for c in rows * scale])
+    got = sp.max_abs(rows)
+    assert got.shape == (200,)
+    assert np.all(got >= gridmax * (1.0 - 1e-14))
+    assert np.all(got <= gridmax + 0.5 * grid[1] * slope)
+
+
+def test_max_abs_batch_matches_rows(rng):
+    for m in (0, 1, 3, 5):
+        sp = PolySpace(m, 3)
+        rows = rng.standard_normal((50, sp.dim))
+        rows[7] = 0.0
+        rows[11, 2:] = 0.0
+        each = np.array([sp.max_abs(c) for c in rows])
+        assert isinstance(sp.max_abs(rows[0]), float)
+        assert np.allclose(sp.max_abs(rows), each, rtol=1e-14, atol=0.0)
+
+
+def _linear(a, b):
+    """Exact orthonormal coefficients of a + b y at m = 3: no roundoff in
+    the zero slots, so the degree drops exactly."""
+    return np.array([a + 0.5 * b, b / (2.0 * np.sqrt(3.0)), 0.0, 0.0])
+
+
+def test_real_roots_edge_cases(space):
+    rows = np.array([np.zeros(space.dim),
+                     _linear(-0.25, 1.0),
+                     space.project(lambda y: (y - 0.3) ** 2),
+                     space.project(lambda y: y * (y - 1.0))])
+    roots = real_roots(rows)
+    assert roots.shape == (4, space.degree)
+    assert np.all((roots >= 0.0) & (roots <= 1.0))
+    assert np.all(roots[0] == 0.0)
+    assert abs(roots[1, 0] - 0.25) < 1e-15 and np.all(roots[1, 1:] == 0.0)
+    assert np.sum(np.abs(roots[2] - 0.3) < 1e-7) == 2
+    assert np.min(roots[3]) < 1e-14 and np.max(roots[3]) > 1.0 - 1e-14
+
+
+def test_max_abs_edge_cases(space):
+    assert space.max_abs(np.zeros(space.dim)) == 0.0
+    assert abs(space.max_abs(_linear(-0.25, 1.0)) - 0.75) < 1e-15
+    # double root at 0.3; the derivative of (y - 0.3)^3 has one too
+    assert abs(space.max_abs(space.project(lambda y: (y - 0.3) ** 2))
+               - 0.49) < 1e-14
+    assert abs(space.max_abs(space.project(lambda y: (y - 0.3) ** 3))
+               - 0.343) < 1e-14
+    # roots at both endpoints, interior maximum 1/4 at y = 1/2
+    assert abs(space.max_abs(space.project(lambda y: y * (y - 1.0)))
+               - 0.25) < 1e-14
 
 
 def test_constructor_validation():

@@ -117,6 +117,52 @@ def test_lp_norm_level_invariance(space):
             assert abs(tf.lp_norm(p) - up.lp_norm(p)) < 1e-10
 
 
+def _abs_quadratic_integral(a, b):
+    """Closed form of the integral of |(y - a)(y - b)| over [0, 1], a <= b."""
+    anti = lambda y: y**3 / 3.0 - (a + b) * y**2 / 2.0 + a * b * y
+    return 2.0 * anti(a) - 2.0 * anti(b) + anti(1.0)
+
+
+def test_lp_norm_exact_on_root_edge_cases(space):
+    """L^1 against closed forms: two roots 0.04 apart in one cell (missed
+    by a grid sign test), a double root, roots at both endpoints and an
+    exact degree drop (a linear piece at m = 3)."""
+    linear = np.array([0.25, 1.0 / (2.0 * np.sqrt(3.0)), 0.0, 0.0])
+    cases = [(lambda y: (y - 0.51) * (y - 0.55), (0.51, 0.55)),
+             (lambda y: (y - 0.3) ** 2, (0.3, 0.3)),
+             (lambda y: y * (y - 1.0), (0.0, 1.0))]
+    pairs = [(space.project(g), _abs_quadratic_integral(*ab))
+             for g, ab in cases] + [(linear, 0.3125)]
+    for c, exact in pairs:
+        tf = TensorizedFunction(space, 0, c)
+        for rep in (tf, tf.relevel_up(3)):
+            assert abs(rep.lp_norm(1) - exact) <= 1e-13 * exact
+
+
+def test_lp_norm_memory_bounded(space):
+    """A projection error changes sign in most cells (71% at d=14); their
+    root and quadrature arrays are built a block of cells at a time
+    (all at once, L^1 peaked at 20 MB under tracemalloc)."""
+    import tracemalloc
+    f = np.sqrt
+    err = (TensorizedFunction.tensorize(f, space, 10).relevel_up(14)
+           - TensorizedFunction.tensorize(f, space, 14))
+    tracemalloc.start()
+    try:
+        err.lp_norm(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_sobolev_past_degree_vanishes(space, rng):
+    for sp, k in ((space, 4), (space, 6), (PolySpace(0, 2), 1)):
+        tf = TensorizedFunction(sp, 2, rng.standard_normal((2, 2, sp.dim)))
+        for p in (1.0, 2.0, 3.0, np.inf):
+            assert tf.sobolev_seminorm(k, p) == 0.0
+
+
 def test_lp_norm_domain_error(space):
     tf = TensorizedFunction.tensorize(lambda x: np.ones_like(x), space, 2)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tensor trains: compression, rounding, addition, extension, complexity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -487,6 +489,29 @@ def test_complexity_cp_report(space, rng):
     rep = complexity(cp)
     assert rep.cp == cost_cp(cp)
     assert rep.cp == space.base * 4 * 2 + 2 * space.dim
+    cellwise = cp_from_tensorized(tensorize(np.sqrt, space, 4))
+    cellwise.factors[1][0, 3] = 1e-3  # a small entry that eta = 0.5 drops
+    for c in (cp, cellwise):
+        for eta in (0.0, 0.5):
+            got = complexity(c, eta=eta)
+            want = complexity(cp_to_tt(c), eta=eta)
+            assert dataclasses.replace(got, cp=None) == want
+
+
+def test_complexity_cp_memory_bounded():
+    """The report of a cell-wise CP (rank b^d) comes from its factors; the
+    diagonal cores of cp_to_tt would take 8 MB each at d=10."""
+    import tracemalloc
+    cp = cp_from_tensorized(tensorize(np.sqrt, PolySpace(3, 2), 10))
+    assert cp.rank == 1024
+    tracemalloc.start()
+    try:
+        rep = complexity(cp, eta=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert rep.max_rank == 1024 and rep.level == 10
 
 
 def test_cost_helpers(space):
