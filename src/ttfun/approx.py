@@ -96,8 +96,7 @@ def class_seminorm(curve, alpha: float, q: float, n_max: int
     if not pts:
         raise ValueError("curve must be nonempty")
     ns = np.array([pt.n for pt in pts])
-    errs = np.array([pt.error for pt in pts])
-    errs = np.minimum.accumulate(errs)
+    errs = np.minimum.accumulate([pt.error for pt in pts])
 
     def E(n):
         idx = np.searchsorted(ns, n, side="right") - 1

@@ -16,28 +16,19 @@ import numpy as np
 
 from .localspace import PolySpace
 from .tensorized import (DEFAULT_BUDGET, BudgetError, TensorizedFunction,
-                         _evaluate, _payload, _unpack)
+                         _evaluate, _payload, _svd_step, _svd_sweep, _unpack)
 
 _MAGIC_TT = b"QTTT"
 
 
-def _truncation_rank(s: np.ndarray, delta: float, cap: int | None,
-                     rel_floor: float = 1e-12) -> int:
-    """Smallest kept rank for a singular spectrum.
-
-    Keeps the Frobenius tail below delta, drops relative noise below
-    rel_floor, honors an optional cap, and never returns less than 1.
-    """
-    if s.size == 0 or s[0] == 0.0:
-        return 1
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
-    r_delta = int(np.searchsorted(-tail, -delta, side="left")) if delta > 0 \
-        else s.size
-    r_floor = int(np.count_nonzero(s > rel_floor * s[0]))
-    r = min(r_delta, r_floor)
-    if cap is not None:
-        r = min(r, cap)
-    return max(r, 1)
+def _rank_caps(tol: float, rank_caps, d: int) -> list:
+    """Checks tol; returns one rank cap (None: no cap) per digit mode."""
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    caps = list(rank_caps) if rank_caps is not None else [None] * d
+    if len(caps) != d:
+        raise ValueError(f"need {d} rank caps, got {len(caps)}")
+    return caps
 
 
 class TensorTrain:
@@ -149,8 +140,7 @@ class TensorTrain:
         Frobenius error stays below tol (split_tolerance=False drops the
         split and exists as a fault-injection hook for verification).
         """
-        if tol < 0:
-            raise ValueError(f"tol must be >= 0, got {tol}")
+        caps = _rank_caps(tol, rank_caps, self.level)
         if self.is_zero():
             return TensorTrain.zero(self.space, self.level)
         d = self.level
@@ -161,11 +151,9 @@ class TensorTrain:
         # the L2 norm and would overflow otherwise.
         logscale = 0.0
         for nu in range(d, 0, -1):
-            g = cores[nu]
-            r_prev, n, r = g.shape
-            q, rr = np.linalg.qr(g.reshape(r_prev, n * r).T)
-            k = q.shape[1]
-            cores[nu] = np.ascontiguousarray(q.T.reshape(k, n, r))
+            r_prev, n, r = cores[nu].shape
+            q, rr = np.linalg.qr(cores[nu].reshape(r_prev, n * r).T)
+            cores[nu] = np.ascontiguousarray(q.T.reshape(-1, n, r))
             nrm = np.linalg.norm(rr)
             if nrm > 0.0:
                 rr = rr / nrm
@@ -176,19 +164,12 @@ class TensorTrain:
             cores[0] = cores[0] / norm
             logscale += np.log(norm)
             norm = 1.0
-        steps = max(d, 1)
-        delta = tol * norm / (np.sqrt(steps) if split_tolerance else 1.0)
-        caps = list(rank_caps) if rank_caps is not None else [None] * d
-        if len(caps) != d:
-            raise ValueError(f"need {d} rank caps, got {len(caps)}")
+        delta = tol * norm / (np.sqrt(d) if split_tolerance else 1.0)
         for nu in range(d):
-            g = cores[nu]
-            r_prev, n, r = g.shape
-            u, s, vt = np.linalg.svd(g.reshape(r_prev * n, r),
-                                     full_matrices=False)
-            k = _truncation_rank(s, delta, caps[nu])
-            cores[nu] = u[:, :k].reshape(r_prev, n, k)
-            carry = s[:k, None] * vt[:k]
+            r_prev, n, r = cores[nu].shape
+            u, carry, _ = _svd_step(cores[nu].reshape(r_prev * n, r), delta,
+                                    caps[nu])
+            cores[nu] = u.reshape(r_prev, n, -1)
             cores[nu + 1] = np.tensordot(carry, cores[nu + 1], axes=(1, 0))
         factor = np.exp(logscale / (d + 1))
         cores = [g * factor for g in cores]
@@ -287,34 +268,14 @@ def tt_svd(tf: TensorizedFunction, tol: float = 0.0,
     the (scaled-Frobenius = L2) norm; tol=0 with no caps is exact up to
     roundoff and yields the numerical prefix ranks.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    d = tf.level
-    if d < 1:
+    caps = _rank_caps(tol, rank_caps, tf.level)
+    if tf.level < 1:
         raise ValueError("tensor trains need level >= 1")
-    space = tf.space
-    b, dim = space.base, space.dim
     norm = np.linalg.norm(tf.coeffs)
     if norm == 0.0:
-        return TensorTrain.zero(space, d)
-    delta = tol * norm / np.sqrt(d)
-    caps = list(rank_caps) if rank_caps is not None else [None] * d
-    if len(caps) != d:
-        raise ValueError(f"need {d} rank caps, got {len(caps)}")
-    cores = []
-    mat = tf.coeffs.reshape(b, -1)
-    r_prev = 1
-    for nu in range(d):
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        r = _truncation_rank(s, delta, caps[nu])
-        cores.append(u[:, :r].reshape(r_prev, b, r))
-        rest = s[:r, None] * vt[:r]
-        r_prev = r
-        if nu < d - 1:
-            mat = rest.reshape(r * b, -1)
-        else:
-            cores.append(rest.reshape(r, dim, 1))
-    return TensorTrain(space, cores)
+        return TensorTrain.zero(tf.space, tf.level)
+    cores, _ = _svd_sweep(tf.coeffs, tol * norm / np.sqrt(tf.level), caps)
+    return TensorTrain(tf.space, cores)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +377,8 @@ def cost_sum_ranks(ranks) -> int:
 
 
 def cost_dense(ranks, b: int, dim: int) -> int:
-    total = b * ranks[0]
-    for prev, cur in zip(ranks[:-1], ranks[1:]):
-        total += b * prev * cur
-    return total + ranks[-1] * dim
+    inner = sum(prev * cur for prev, cur in zip(ranks[:-1], ranks[1:]))
+    return b * ranks[0] + b * inner + ranks[-1] * dim
 
 
 def cost_sparse(cores, eta: float = 0.0) -> int:
@@ -488,10 +447,6 @@ def complexity(rep, eta: float = 0.0, minimize_level: bool = False,
 # the max-rank closure failure construction
 
 
-def _full_rank_profile(b: int, d: int, dim: int) -> list[int]:
-    return [min(b**nu, b**(d - nu) * dim) for nu in range(1, d + 1)]
-
-
 def maxrank_pair(space: PolySpace, n: int, rng) -> tuple[TensorTrain, TensorTrain]:
     """A full-rank train at a shallow level and a rank-one train at a deep
     level, both with max-rank cost at most n.
@@ -504,7 +459,7 @@ def maxrank_pair(space: PolySpace, n: int, rng) -> tuple[TensorTrain, TensorTrai
     d_deep = (n - dim) // b
     d_shallow = None
     for d in range(2, d_deep + 1):
-        ranks = _full_rank_profile(b, d, dim)
+        ranks = [min(b**nu, b**(d - nu) * dim) for nu in range(1, d + 1)]
         if cost_rmax(ranks, b, d, dim) <= n:
             d_shallow = d
         else:
@@ -532,11 +487,8 @@ def maxrank_growth(space: PolySpace, n_values, rng,
     rows = []
     for n in n_values:
         a, b_ = maxrank_pair(space, int(n), rng)
-        ca = complexity(a)
-        cb = complexity(b_)
-        n_meas = max(ca.rmax, cb.rmax)
-        summed = (a + b_).round(round_tol)
-        cs = complexity(summed)
+        n_meas = max(complexity(a).rmax, complexity(b_).rmax)
+        cs = complexity((a + b_).round(round_tol))
         rows.append({
             "n": n_meas,
             "cost_sum": cs.rmax,

@@ -82,6 +82,10 @@ def test_usage_errors_exit_2():
     assert run("density", "--func", "indicator:0,1/3,1:1,0",
                "--d-max", "0") == 2
     assert run("verify", "--d-max", "1") == 2
+    assert run("extend", "--func", "poly:0,1", "--d", "2", "--d-new", "4",
+               "--tol", "nan") == 2
+    assert run("sweep", "--func", "poly:1", "--d-grid", "2", "--tol-grid",
+               "nan") == 2
 
 
 def test_ranks_command(tmp_path):

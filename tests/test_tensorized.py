@@ -1,10 +1,14 @@
 """Full coefficient tensors: construction, norms, ranks, level changes."""
 
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
 from ttfun import (BudgetError, PolySpace, TensorizedFunction,
-                   cp_from_tensorized)
+                   corpus_functions, cp_from_tensorized)
+from ttfun.cli import parse_function_spec
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -163,6 +167,27 @@ def test_sobolev_past_degree_vanishes(space, rng):
             assert tf.sobolev_seminorm(k, p) == 0.0
 
 
+def test_sobolev_zero_at_large_order(space):
+    """k*p past the float exponent range: the seminorm is exactly 0."""
+    tf = TensorizedFunction.tensorize(lambda x: np.sqrt(x), space, 10)
+    assert tf.sobolev_seminorm(60, 2) == 0.0
+    assert tf.sobolev_seminorm(110, np.inf) == 0.0
+
+
+def test_sobolev_scale_far_from_float_range():
+    """Large b^{d(k-1/p)} factors scale exactly and stay finite."""
+    tf = TensorizedFunction.tensorize(lambda x: np.exp(3.0 * x),
+                                      PolySpace(20, 2), 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, p in ((20, 2.0), (20, 4.0), (20, np.inf)):
+            big = tf.sobolev_seminorm(k, p)
+            small = (1e-60 * tf).sobolev_seminorm(k, p)
+            assert np.isfinite(big)
+            assert abs(big - 1e60 * small) <= 1e-12 * big
+        assert (1e300 * tf).sobolev_seminorm(20, 4.0) == np.inf
+
+
 def test_lp_norm_domain_error(space):
     tf = TensorizedFunction.tensorize(lambda x: np.ones_like(x), space, 2)
     with pytest.raises(ValueError):
@@ -222,6 +247,37 @@ def test_rank_profile_tol_validation(space):
     tf = TensorizedFunction.tensorize(lambda x: np.asarray(x), space, 2)
     with pytest.raises(ValueError):
         tf.rank_profile(tol=1.5)
+
+
+def unfolding_ranks(tf, tol):
+    """Reference: one SVD per prefix unfolding (digits 1..nu vs rest)."""
+    ranks = []
+    for nu in range(1, tf.level + 1):
+        s = np.linalg.svd(tf.coeffs.reshape(tf.base**nu, -1), compute_uv=False)
+        ranks.append(0 if s[0] == 0.0
+                     else int(np.count_nonzero(s > tol * s[0])))
+    return tuple(ranks)
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_rank_profile_matches_unfolding_svds(b):
+    for m in (0, 1, 3):
+        space = PolySpace(m, b)
+        cases = [TensorizedFunction(space, 0, np.arange(1.0, m + 2.0)),
+                 TensorizedFunction(space, 4, np.zeros((b,) * 4 + (m + 1,)))]
+        for _, f in corpus_functions(b):
+            cases += [TensorizedFunction.tensorize(f, space, d)
+                      for d in (2, 4, 6, 8)]
+        for tf in cases:
+            for tol in (1e-10, 1e-6, 1e-13):
+                assert tf.rank_profile(tol).ranks == unfolding_ranks(tf, tol)
+
+
+def test_rank_profile_matches_unfolding_svds_deep(space):
+    for name in ("sqrt", "sin:3", "abs_power:0.5,0.6"):
+        f, _ = parse_function_spec(name)
+        tf = TensorizedFunction.tensorize(f, space, 18)
+        assert tf.rank_profile().ranks == unfolding_ranks(tf, 1e-10)
 
 
 def test_partial_eval_levels(space):
@@ -370,3 +426,7 @@ def test_to_csv(space, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "j,k,value"
     assert len(lines) == 1 + 4 * space.dim
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for j, k, value in rows:
+        assert float(value) == tf.cell_coeffs[int(j), int(k)]

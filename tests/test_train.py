@@ -49,8 +49,9 @@ def test_tt_svd_rank_caps(space, rng):
     assert all(r <= c for r, c in zip(tt.ranks, (1, 2, 2, 1)))
     with pytest.raises(ValueError):
         tt_svd(tf, 0.0, rank_caps=[1, 2])
-    with pytest.raises(ValueError):
-        tt_svd(tf, -0.1)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            tt_svd(tf, bad)
 
 
 # -- to_full / eval --------------------------------------------------------
@@ -281,8 +282,19 @@ def test_round_rank_one_cap_quasi_optimal(space, rng):
 
 
 def test_round_negative_tol(space, rng):
-    with pytest.raises(ValueError):
-        random_train(space, 3, rng).round(-1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            random_train(space, 3, rng).round(bad)
+
+
+def test_error_bound_deep(space):
+    """tt_svd and round keep ||error||_2 <= tol ||f||_2 at d = 18."""
+    tf = tensorize(lambda x: np.sqrt(x), space, 18)
+    norm = tf.lp_norm(2)
+    exact = tt_svd(tf, 0.0)
+    for tol in (1e-6, 1e-3):
+        for tt in (tt_svd(tf, tol), exact.round(tol)):
+            assert (tt.to_full() - tf).lp_norm(2) <= tol * norm
 
 
 # -- level extension -------------------------------------------------------
