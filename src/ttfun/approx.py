@@ -86,9 +86,9 @@ def class_seminorm(curve, alpha: float, q: float, n_max: int
     estimate is sup over n <= n_max of n^alpha E(n-1) for q = inf, and the
     lq-weighted sum otherwise.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"q must be > 0, got {q}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -127,8 +127,8 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
         raise ValueError("need one more breakpoint than values")
     if x[0] != 0.0 or x[-1] != 1.0 or any(u >= v for u, v in zip(x, x[1:])):
         raise ValueError("breakpoints must increase from 0 to 1")
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:  # the closed form needs a finite p
+        raise ValueError(f"p must be positive and finite, got {p}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     envelope_mass = sum(abs(v) ** p for v in a)

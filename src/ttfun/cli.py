@@ -102,15 +102,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttfun")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_d=True):
+    def common(p, need_d=True, projects=True):
         p.add_argument("--func", required=True)
         p.add_argument("--b", type=int, default=2)
-        p.add_argument("--m", type=int, default=3)
+        p.add_argument("--out", default=None)
+        if projects:
+            p.add_argument("--m", type=int, default=3)
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         if need_d:
             p.add_argument("--d", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--out", default=None)
 
     p = sub.add_parser("tensorize", help="project and write a QTTF file")
     common(p)
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("density", help="grid-snapping decay table")
-    common(p, need_d=False)
+    common(p, need_d=False, projects=False)
     p.add_argument("--d-max", type=int, default=12)
     p.add_argument("--p", type=float, default=1.0)
 
@@ -161,10 +161,13 @@ def _validate(args) -> None:
         raise UsageError("--b must be >= 2")
     if getattr(args, "d", 0) < 0:
         raise UsageError("--d must be >= 0")
-    if getattr(args, "m", 0) is not None and isinstance(args.m, int) and args.m < 0:
+    m = getattr(args, "m", 0)
+    if isinstance(m, int) and m < 0:
         raise UsageError("--m must be >= 0")
-    if getattr(args, "p", 1.0) is not None and getattr(args, "p", 1.0) <= 0:
+    if not getattr(args, "p", 1.0) > 0:
         raise UsageError("--p must be positive")
+    if getattr(args, "pairs", 1) < 1:
+        raise UsageError("--pairs must be >= 1")
 
 
 def _cmd_tensorize(args) -> int:
@@ -209,6 +212,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     degrees = tuple(int(v) for v in _floats(str(args.m)))
+    if not degrees:
+        raise UsageError("--m needs at least one degree")
     report = lemma_corpus(b=args.b, degrees=degrees, d_max=args.d_max,
                           seed=args.seed, n_pairs=args.pairs,
                           fault=args.inject_fault)

@@ -109,20 +109,24 @@ class PolySpace:
     def dim(self) -> int:
         return self.degree + 1
 
-    def project(self, g) -> np.ndarray:
-        """L2-orthogonal projection of a callable onto the space.
-
-        Gauss-Legendre quadrature of order `quad_order`; exact for
-        polynomial integrands of degree <= 2*quad_order - 1.
-        """
-        vals = np.asarray(g(self.nodes), dtype=float)
-        if vals.shape != self.nodes.shape:
-            vals = np.asarray([g(y) for y in self.nodes], dtype=float)
+    def project_pieces(self, f, x) -> np.ndarray:
+        """L2 projections (..., m+1) of f on pieces from their quadrature
+        points x (..., Q): row i projects y -> f(a + h y) if x[i] = a + h
+        nodes, by the Gauss rule of order `quad_order`.  f is called once on
+        x, and point by point only when it does not return x's shape; a
+        non-finite value raises ArithmeticError."""
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape != x.shape:
+            vals = np.vectorize(f, otypes=[float])(x)
         bad = ~np.isfinite(vals)
         if bad.any():
-            node = self.nodes[bad][0]
-            raise ArithmeticError(f"non-finite value at quadrature node y={node}")
-        return self._proj @ vals
+            raise ArithmeticError(
+                f"non-finite value at quadrature node x={x[bad][0]}")
+        return vals @ self._proj.T
+
+    def project(self, g) -> np.ndarray:
+        """L2-orthogonal projection of a callable on [0,1) onto the space."""
+        return self.project_pieces(g, self.nodes)
 
     def eval(self, coeffs, y):
         """Evaluate sum_k c_k L_k at y in [0,1) (scalar or array)."""
@@ -139,34 +143,28 @@ class PolySpace:
         return self.dilation_matrices[digit] @ np.asarray(coeffs, dtype=float)
 
     def differentiate(self, coeffs, order: int = 1) -> np.ndarray:
-        """Coefficients of the order-th derivative (zero past the degree)."""
+        """Coefficients of the order-th derivative of rows (..., m+1): the
+        strictly upper triangular D makes D^order exactly 0 past the degree."""
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        c = np.asarray(coeffs, dtype=float)
-        if order > self.degree:
-            return np.zeros_like(c)
-        for _ in range(order):
-            c = self.diff_matrix @ c
-        return c
+        return (np.asarray(coeffs, dtype=float)
+                @ np.linalg.matrix_power(self.diff_matrix, order).T)
 
     def gram_matrix(self) -> np.ndarray:
         """Quadrature Gram matrix of the basis (identity up to roundoff)."""
         return self._proj @ self.basis_at_nodes.T
 
     def monomial_coeffs(self) -> np.ndarray:
-        """Columns express y^k in the orthonormal basis, k = 0..degree.
-
-        Fixed change of basis back to monomial features.
-        """
-        cols = [self.project(lambda y, q=q: y**q) for q in range(self.dim)]
-        return np.column_stack(cols)
+        """Columns express y^k in the orthonormal basis, k = 0..degree."""
+        return np.column_stack([self.project(lambda y, q=q: y**q)
+                                for q in range(self.dim)])
 
     def max_abs(self, coeffs):
         """Max of |p| on [0, 1] over the endpoints and the critical points:
         a float for one row (m+1,), shape (n,) for rows (n, m+1)."""
         c = np.asarray(coeffs, dtype=float)
         rows = c.reshape(-1, self.dim)
-        crit = real_roots(rows @ self.diff_matrix.T)
+        crit = real_roots(self.differentiate(rows))
         cand = np.pad(crit, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
         vals = np.einsum("nk,knj->nj", rows, legendre_values(self.degree, cand))
         out = np.max(np.abs(vals), axis=1)

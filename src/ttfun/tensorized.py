@@ -35,7 +35,8 @@ class RankProfile:
 
 
 # Points or cells per block: bounds the (n, rank) temporaries of evaluation
-# (a cell-wise CP has rank b^d) and the per-cell arrays of the norms.
+# (a cell-wise CP has rank b^d), the per-cell arrays of the norms and the
+# (n, Q) quadrature arrays of the projection.
 _BLOCK = 1024
 
 
@@ -59,12 +60,12 @@ def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
     ||p_j^(k)||_inf for p = inf.  The rows are scaled to max |c| = 1 before
     the derivative and b^{d(k-1/p)} is applied in log space, so the result
     is inf only when it leaves the float range."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     scale = float(np.max(np.abs(flat), initial=0.0))
     unit = flat / scale if scale > 0.0 else flat
     if k:
-        unit = unit @ np.linalg.matrix_power(space.diff_matrix, k).T
+        unit = space.differentiate(unit, k)
     if np.isinf(p):
         value = _sup_abs(space, unit)
     elif p == 2:
@@ -194,25 +195,21 @@ class TensorizedFunction:
     @classmethod
     def tensorize(cls, f, space: PolySpace, level: int,
                   budget: int = DEFAULT_BUDGET) -> "TensorizedFunction":
-        """Cell-wise L2 projection of f onto the level-d piecewise space."""
+        """Cell-wise L2 projection of f on the level-d space, _BLOCK cells
+        per call of f: memory beyond the output is O(_BLOCK Q)."""
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
-        b = space.base
+        b, dim = space.base, space.dim
         ncell = b**level
-        if ncell * space.dim > budget:
-            raise BudgetError(
-                f"{ncell * space.dim} elements exceed budget {budget}")
+        if ncell * dim > budget:
+            raise BudgetError(f"{ncell * dim} elements exceed budget {budget}")
         h = float(b) ** (-level)
-        x = (np.arange(ncell, dtype=float)[:, None] + space.nodes[None, :]) * h
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.vectorize(f, otypes=[float])(x)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            node = x[bad].ravel()[0]
-            raise ArithmeticError(f"non-finite value at quadrature node x={node}")
-        flat = vals @ space._proj.T  # (ncell, m+1)
-        return cls(space, level, flat.reshape((b,) * level + (space.dim,)))
+        flat = np.empty((ncell, dim))
+        for s in range(0, ncell, _BLOCK):
+            cells = np.arange(s, min(s + _BLOCK, ncell), dtype=float)
+            flat[s:s + _BLOCK] = space.project_pieces(
+                f, (cells[:, None] + space.nodes) * h)
+        return cls(space, level, flat.reshape((b,) * level + (dim,)))
 
     @property
     def base(self) -> int:

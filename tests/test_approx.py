@@ -76,6 +76,10 @@ def test_class_seminorm_validation():
         class_seminorm(curve, -1.0, 2.0, 10)
     with pytest.raises(ValueError):
         class_seminorm(curve, 1.0, 0.0, 10)
+    with pytest.raises(ValueError, match="alpha"):
+        class_seminorm(curve, math.nan, 2.0, 10)
+    with pytest.raises(ValueError, match="q must"):
+        class_seminorm(curve, 1.0, math.nan, 10)
     with pytest.raises(ValueError):
         class_seminorm([], 1.0, 2.0, 10)
 
@@ -110,6 +114,10 @@ def test_density_validation():
         density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], 2, 0.0, 4)
     with pytest.raises(ValueError):
         density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], 2, 1.0, 0)
+    # the closed form needs a finite p: at p = inf a zero error reads 0**0 = 1
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], 2, p, 4)
 
 
 def test_corpus_functions_cover_cases():

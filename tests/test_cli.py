@@ -86,6 +86,24 @@ def test_usage_errors_exit_2():
                "--tol", "nan") == 2
     assert run("sweep", "--func", "poly:1", "--d-grid", "2", "--tol-grid",
                "nan") == 2
+    for p in ("nan", "inf"):
+        assert run("density", "--func", "indicator:0,1/3,1:1,0",
+                   "--p", p) == 2
+    assert run("sweep", "--func", "poly:1", "--d-grid", "2", "--tol-grid",
+               "0", "--p", "nan") == 2
+    assert run("verify", "--m", "") == 2
+    assert run("verify", "--pairs", "0") == 2
+    # options that nothing read are gone
+    for argv in (("tensorize", "--d", "2"), ("ranks", "--d", "2"),
+                 ("extend", "--d", "2", "--d-new", "3"),
+                 ("sweep", "--d-grid", "2", "--tol-grid", "0")):
+        assert run(*argv, "--func", "poly:1") == 0
+        assert run(*argv, "--func", "poly:1", "--seed", "1") == 2
+    assert run("verify", "--m", "0", "--d-max", "2", "--pairs", "1",
+               "--seed", "3") == 0
+    for opt in ("--seed", "--m", "--budget"):
+        assert run("density", "--func", "indicator:0,1/3,1:1,0",
+                   opt, "1") == 2
 
 
 def test_ranks_command(tmp_path):

@@ -54,6 +54,30 @@ def test_project_nonfinite_raises(space):
         space.project(lambda y: np.full_like(y, np.nan))
 
 
+def test_project_scalar_callable(space):
+    """A callable that returns a scalar for array input is called point by
+    point, at every node."""
+    calls = []
+
+    def g(y):
+        calls.append(y)
+        return 2.5
+
+    c = space.project(g)
+    assert len(calls) == 1 + space.quad_order
+    assert abs(c[0] - 2.5) < 1e-14
+    assert np.max(np.abs(c[1:])) < 1e-14
+
+
+def test_project_pieces_rows(space):
+    """Row i of project_pieces projects f on the piece [a_i, a_i + h)."""
+    a, h = np.array([0.0, 0.25, 0.6]), 0.125
+    got = space.project_pieces(np.exp, a[:, None] + h * space.nodes)
+    for row, ai in zip(got, a):
+        want = space.project(lambda y, ai=ai: np.exp(ai + h * y))
+        assert np.max(np.abs(row - want)) < 1e-14
+
+
 def test_eval_constant(space):
     c = np.zeros(space.dim)
     c[0] = 1.0
@@ -129,6 +153,26 @@ def test_dilate_digit_range(space):
 def test_differentiate_past_degree(space, rng):
     c = rng.standard_normal(space.dim)
     assert np.all(space.differentiate(c, space.degree + 1) == 0.0)
+
+
+@pytest.mark.parametrize("degree", [3, 6])
+def test_differentiate_rows(degree, rng):
+    """Rows (..., m+1) against one matvec per order and row, to the rounding
+    bound of both products: (order + 1) (m+1) eps (|D|^order |c|)."""
+    space = PolySpace(degree, 2)
+    eps = np.finfo(float).eps
+    c = rng.standard_normal((2, 5, space.dim))
+    for order in range(space.degree + 2):
+        got = space.differentiate(c, order)
+        assert got.shape == c.shape
+        size = np.linalg.matrix_power(np.abs(space.diff_matrix), order)
+        for row, out in zip(c.reshape(-1, space.dim),
+                            got.reshape(-1, space.dim)):
+            want = row
+            for _ in range(order):
+                want = space.diff_matrix @ want
+            bound = (order + 1) * space.dim * eps * (size @ np.abs(row))
+            assert np.all(np.abs(out - want) <= bound)
 
 
 def test_differentiate_quadratic(space):

@@ -55,6 +55,57 @@ def test_tensorize_nonfinite(space):
     with pytest.raises(ArithmeticError):
         TensorizedFunction.tensorize(
             lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0), space, 2)
+    # 3^7 = 2187 cells: the NaN sits only in the short third block
+    with pytest.raises(ArithmeticError, match="x=0.99"):
+        TensorizedFunction.tensorize(
+            lambda x: np.where(np.asarray(x) > 0.99, np.nan, 1.0),
+            PolySpace(2, 3), 7)
+
+
+def _unblocked_projection(f, space, level):
+    """Reference: every cell's quadrature points in one (b^d, Q) array."""
+    cells = np.arange(space.base**level, dtype=float)
+    x = (cells[:, None] + space.nodes) * float(space.base) ** -level
+    return np.asarray(f(x), dtype=float) @ space._proj.T
+
+
+@pytest.mark.parametrize("b,level,m", [(2, 12, 3), (3, 7, 2), (5, 5, 3)])
+def test_tensorize_blocked_matches_unblocked(b, level, m):
+    """Exact when b^d is a multiple of the block (2^12 = 4 blocks); a short
+    last block may round differently in BLAS, by a few ulps."""
+    space = PolySpace(m, b)
+    for name in ("sqrt", "sin:3", "abs_power:0.5,0.6"):
+        f, _ = parse_function_spec(name)
+        got = TensorizedFunction.tensorize(f, space, level).cell_coeffs
+        want = _unblocked_projection(f, space, level)
+        if b**level % 1024 == 0:
+            assert np.array_equal(got, want)
+        else:
+            eps = np.finfo(float).eps
+            assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+
+
+def test_tensorize_scalar_callable(space):
+    """A callable that ignores array input is called point by point."""
+    tf = TensorizedFunction.tensorize(lambda x: 2.5, space, 3)
+    assert np.max(np.abs(tf.cell_coeffs[:, 0] - 2.5)) < 1e-13
+    assert np.max(np.abs(tf.cell_coeffs[:, 1:])) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["sqrt", "sin:3", "abs_power:0.5,0.6"])
+def test_tensorize_memory_bounded(space, name):
+    """Cells are projected a block at a time, so the peak stays near the
+    2 MB output at d=16; (b^d, Q) arrays of points and values would take
+    18-24x."""
+    import tracemalloc
+    f, _ = parse_function_spec(name)
+    tracemalloc.start()
+    try:
+        tf = TensorizedFunction.tensorize(f, space, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * tf.coeffs.nbytes
 
 
 def test_eval_constant(space):
@@ -192,6 +243,9 @@ def test_lp_norm_domain_error(space):
     tf = TensorizedFunction.tensorize(lambda x: np.ones_like(x), space, 2)
     with pytest.raises(ValueError):
         tf.lp_norm(0.0)
+    for bad in (tf.lp_norm, lambda p: tf.sobolev_seminorm(1, p)):
+        with pytest.raises(ValueError, match="p must be positive"):
+            bad(np.nan)
 
 
 def test_sobolev_constant_vanishes(space):
