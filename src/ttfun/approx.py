@@ -16,6 +16,7 @@ from .train import (CPRep, TensorTrain, complexity, cost_cp, cost_sparse,
 _MEASURE_FIELDS = {"N": "sum_ranks", "C": "dense", "S": "sparse",
                    "rmax": "rmax"}
 MEASURES = tuple(_MEASURE_FIELDS)
+FAULTS = ("rounding-split",)
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,19 @@ def class_seminorm(curve, alpha: float, q: float, n_max: int
     return ClassSeminormEstimate(alpha, q, value, n_max)
 
 
+def staircase_steps(breakpoints, values) -> tuple[list, list]:
+    """The breakpoints x_0 = 0 < ... < x_n = 1 and values a_0..a_{n-1} of
+    the simple function sum_i a_i on [x_i, x_{i+1}), as floats; anything
+    else raises ValueError."""
+    x = [float(v) for v in breakpoints]
+    a = [float(v) for v in values]
+    if len(x) != len(a) + 1:
+        raise ValueError("need one more breakpoint than values")
+    if x[0] != 0.0 or x[-1] != 1.0 or any(u >= v for u, v in zip(x, x[1:])):
+        raise ValueError("breakpoints must increase from 0 to 1")
+    return x, a
+
+
 def density_sweep(breakpoints, values, b: int, p: float, d_max: int
                   ) -> list[dict]:
     """Decay of the grid-snapping error for a simple (staircase) function.
@@ -119,14 +133,10 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
     The function is sum_i a_i on [x_i, x_{i+1}); snapping each breakpoint
     down to the level-d grid gives the closest aligned staircase, whose
     L^p error has the closed form sum |a_i - a_{i+1}|^p (x_{i+1} - x_{i+1}^d)
-    and sits below the 2^p b^-d envelope.
+    and sits below the 2^p b^-d envelope.  Levels where b^-d underflows to
+    0.0 report error 0.
     """
-    x = [float(v) for v in breakpoints]
-    a = [float(v) for v in values]
-    if len(x) != len(a) + 1:
-        raise ValueError("need one more breakpoint than values")
-    if x[0] != 0.0 or x[-1] != 1.0 or any(u >= v for u, v in zip(x, x[1:])):
-        raise ValueError("breakpoints must increase from 0 to 1")
+    x, a = staircase_steps(breakpoints, values)
     if not 0 < p < math.inf:  # the closed form needs a finite p
         raise ValueError(f"p must be positive and finite, got {p}")
     if d_max < 1:
@@ -135,12 +145,12 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
     jumps = [abs(a[i] - a[i + 1]) for i in range(len(a) - 1)]
     rows = []
     for d in range(1, d_max + 1):
-        scale = float(b) ** d
+        h = float(b) ** -d
         err_p = 0.0
         for i, jump in enumerate(jumps):
-            snapped = math.floor(x[i + 1] * scale) / scale
-            err_p += jump**p * (x[i + 1] - snapped)
-        bound = 2.0**p * envelope_mass / scale
+            if h > 0.0:  # x - x^d, exact when h is a power of two
+                err_p += jump**p * math.fmod(x[i + 1], h)
+        bound = 2.0**p * envelope_mass * h
         rows.append({
             "d": d,
             "error_p": err_p,
@@ -218,10 +228,13 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
     """Run every property suite on the canonical corpus.
 
     Returns one report entry per checked statement; measured constants sit
-    next to their theoretical limits.  `fault` is a test hook: the value
-    "rounding-split" disables the per-step tolerance split during the
-    rounding-accuracy suite, which makes that suite fail by construction.
+    next to their theoretical limits.  `fault` (one of FAULTS) is a test
+    hook: "rounding-split" rounds with tol * sqrt(d) in the
+    rounding-accuracy suite, undoing the per-step tolerance split, which
+    makes that suite fail by construction.
     """
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
     if d_max < 2:  # the pair and train suites draw levels from 2..d_max
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     rng = np.random.default_rng(seed)
@@ -357,7 +370,6 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
                              ok_ext))
 
         # rounding accuracy (fault-injection target)
-        split = fault != "rounding-split"
         worst_round = 0.0
         for _ in range(10):
             t = random_train(space, d_max, rng, max_rank=4)
@@ -365,7 +377,7 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
             if norm == 0.0:
                 continue
             for tol in (0.5, 0.2):
-                rt = t.round(tol, split_tolerance=split)
+                rt = t.round(tol * np.sqrt(t.level) if fault else tol)
                 err = (rt.to_full() - t.to_full()).lp_norm(2)
                 worst_round = max(worst_round, err / (tol * norm))
         report.append(_entry(f"rounding-accuracy[{tag}]", worst_round, 1.0,

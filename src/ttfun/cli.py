@@ -2,7 +2,8 @@
 and file output.
 
 Subcommands: tensorize, ranks, sweep, verify, density, extend.
-Exit codes: 0 ok, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 bad input (usage, values,
+files); bad input never ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,18 +15,23 @@ import sys
 
 import numpy as np
 
-from .approx import MEASURES, density_sweep, error_curve, lemma_corpus
+from .approx import (FAULTS, MEASURES, density_sweep, error_curve,
+                     lemma_corpus, staircase_steps)
 from .localspace import PolySpace
 from .tensorized import DEFAULT_BUDGET, BudgetError, TensorizedFunction
 from .train import tt_svd
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
 def _floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t != ""]
+
+
+def int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t != ""]
 
 
 def _fraction(text: str) -> float:
@@ -66,10 +72,11 @@ def parse_function_spec(spec: str):
         if len(parts) != 3:
             raise UsageError("indicator needs breakpoints and values, e.g. "
                              "indicator:0,1/3,1:1,0")
-        bps = [_fraction(t) for t in parts[1].split(",")]
-        vals = [_fraction(t) for t in parts[2].split(",")]
-        if len(bps) != len(vals) + 1:
-            raise UsageError("indicator needs one more breakpoint than values")
+        try:
+            bps, vals = staircase_steps(map(_fraction, parts[1].split(",")),
+                                        map(_fraction, parts[2].split(",")))
+        except ValueError as exc:
+            raise UsageError(f"indicator: {exc}") from None
         bp_arr = np.asarray(bps)
         val_arr = np.asarray(vals)
 
@@ -92,6 +99,8 @@ def parse_function_spec(spec: str):
             raise UsageError(f"cannot read samples file {path}: {exc}")
         if len(rows) < 2:
             raise UsageError(f"samples file {path} needs at least two rows")
+        if not np.all(np.isfinite(rows)):
+            raise UsageError(f"samples file {path} has a non-finite value")
         xs, ys = map(np.asarray, zip(*sorted(rows)))
         # piecewise-linear interpolation layer ahead of the projection
         return (lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)), None
@@ -121,18 +130,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error-versus-complexity CSV")
     common(p, need_d=False)
-    p.add_argument("--d-grid", required=True)
+    p.add_argument("--d-grid", type=int_list, required=True)
     p.add_argument("--tol-grid", required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--measure", choices=MEASURES, default="C")
 
     p = sub.add_parser("verify", help="run the lemma-verification corpus")
     p.add_argument("--b", type=int, default=2)
-    p.add_argument("--m", default="0,1,3")
+    p.add_argument("--m", type=int_list, default="0,1,3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--pairs", type=int, default=40)
-    p.add_argument("--inject-fault", default=None)
+    p.add_argument("--inject-fault", choices=FAULTS, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("density", help="grid-snapping decay table")
@@ -197,10 +206,8 @@ def _cmd_ranks(args) -> int:
 def _cmd_sweep(args) -> int:
     f, _ = parse_function_spec(args.func)
     space = PolySpace(args.m, args.b)
-    d_grid = [int(v) for v in _floats(args.d_grid)]
-    tol_grid = _floats(args.tol_grid)
-    points = error_curve(f, space, args.p, args.measure, d_grid, tol_grid,
-                         budget=args.budget)
+    points = error_curve(f, space, args.p, args.measure, args.d_grid,
+                         _floats(args.tol_grid), budget=args.budget)
     lines = ["measure,n,d,p,error,ranks"]
     for pt in points:
         ranks = "|".join(str(r) for r in pt.ranks)
@@ -211,10 +218,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    degrees = tuple(int(v) for v in _floats(str(args.m)))
-    if not degrees:
+    if not args.m:
         raise UsageError("--m needs at least one degree")
-    report = lemma_corpus(b=args.b, degrees=degrees, d_max=args.d_max,
+    report = lemma_corpus(b=args.b, degrees=args.m, d_max=args.d_max,
                           seed=args.seed, n_pairs=args.pairs,
                           fault=args.inject_fault)
     _emit(json.dumps(report, indent=2, default=repr) + "\n", args.out)
@@ -272,7 +278,7 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return _COMMANDS[args.command](args)
-    except (UsageError, BudgetError, OSError, ValueError) as exc:
+    except (BudgetError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,6 +159,11 @@ def _svd_sweep(coeffs: np.ndarray, delta: float, caps,
     return cores, spectra
 
 
+def _next_digit(space: PolySpace, c: np.ndarray) -> np.ndarray:
+    """One more digit: rows c (..., m+1) to (..., b, m+1) with D_i c at i."""
+    return np.tensordot(c, space.dilation_matrices, axes=(-1, 2))
+
+
 def _unpack(raw: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
     """Values of struct fmt at raw[pos:] and the offset after them."""
     end = pos + struct.calcsize(fmt)
@@ -274,9 +279,8 @@ class TensorizedFunction:
             raise BudgetError(
                 f"level {new_level} full tensor exceeds budget {budget}")
         c = self.coeffs
-        dil = self.space.dilation_matrices
         for _ in range(new_level - self.level):
-            c = np.stack([c @ dil[i].T for i in range(self.base)], axis=-2)
+            c = _next_digit(self.space, c)
         return TensorizedFunction(self.space, new_level, c)
 
     def coarsen(self, tol: float = 1e-9) -> "TensorizedFunction":

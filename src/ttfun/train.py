@@ -16,7 +16,8 @@ import numpy as np
 
 from .localspace import PolySpace
 from .tensorized import (DEFAULT_BUDGET, BudgetError, TensorizedFunction,
-                         _evaluate, _payload, _svd_step, _svd_sweep, _unpack)
+                         _evaluate, _next_digit, _payload, _svd_step,
+                         _svd_sweep, _unpack)
 
 _MAGIC_TT = b"QTTT"
 
@@ -131,14 +132,12 @@ class TensorTrain:
     def __neg__(self):
         return self * -1.0
 
-    def round(self, tol: float, rank_caps=None,
-              split_tolerance: bool = True) -> "TensorTrain":
+    def round(self, tol: float, rank_caps=None) -> "TensorTrain":
         """Recompress: right-orthogonalize, then truncate left to right.
 
         The L2 error is at most tol * ||self||_2; output ranks never exceed
         input ranks.  The per-step budget is tol/sqrt(d) so the accumulated
-        Frobenius error stays below tol (split_tolerance=False drops the
-        split and exists as a fault-injection hook for verification).
+        Frobenius error stays below tol.
         """
         caps = _rank_caps(tol, rank_caps, self.level)
         if self.is_zero():
@@ -164,7 +163,7 @@ class TensorTrain:
             cores[0] = cores[0] / norm
             logscale += np.log(norm)
             norm = 1.0
-        delta = tol * norm / (np.sqrt(d) if split_tolerance else 1.0)
+        delta = tol * norm / np.sqrt(d)
         for nu in range(d):
             r_prev, n, r = cores[nu].shape
             u, carry, _ = _svd_step(cores[nu].reshape(r_prev * n, r), delta,
@@ -176,42 +175,19 @@ class TensorTrain:
         return TensorTrain(self.space, cores)
 
     def extend_level(self, new_level: int) -> "TensorTrain":
-        """Re-express the same function at a deeper level.
-
-        The original digit cores are kept; the old coefficient core is
-        expanded against the dilation matrices so that each inserted digit
-        applies the corresponding dilation.  Pre-rounding ranks at the new
-        positions are at most b*(m+1) at the junction and m+1 beyond; one
-        rounding pass brings them all to at most m+1.
-        """
+        """Re-express the same function at a deeper level: the digit cores
+        are kept, each new digit applies the dilations D_i to the m+1 wide
+        coefficient bond, and an identity core closes the chain."""
         if new_level < self.level:
             raise ValueError("extend_level cannot decrease the level")
-        extra = new_level - self.level
-        if extra == 0:
+        if new_level == self.level:
             return self
-        space = self.space
-        b, dim = self.base, space.dim
-        dil = space.dilation_matrices  # (b, dim, dim)
-        last = self.cores[-1][:, :, 0]  # (r_d, dim)
-        r_d = last.shape[0]
-        # junction core: bond (q, j) = coefficient q with pending digit j
-        junction = np.zeros((r_d, b, dim * b))
-        for i in range(b):
-            junction[:, i, i::b] = last
-        cores = list(self.cores[:-1]) + [junction]
-        if extra == 1:
-            # close the chain: coefficients of L_q((. + j)/b)
-            closing = np.transpose(dil, (2, 0, 1)).reshape(dim * b, dim)
-            cores.append(closing[:, :, None])
-        else:
-            # consume the pending digit and switch to a plain coefficient bond
-            pair = np.einsum("ipa,jaq->qjip", dil, dil)  # [(q,j), i, p]
-            cores.append(pair.reshape(dim * b, b, dim))
-            plain = np.transpose(dil, (2, 0, 1))  # [a, i, p] = D_i[p, a]
-            for _ in range(extra - 2):
-                cores.append(plain.copy())
-            cores.append(np.eye(dim)[:, :, None])
-        return TensorTrain(space, cores)
+        cores, bond = list(self.cores[:-1]), self.cores[-1][:, :, 0]
+        for _ in range(new_level - self.level):
+            cores.append(_next_digit(self.space, bond))
+            bond = np.eye(self.space.dim)
+        cores.append(bond[:, :, None])
+        return TensorTrain(self.space, cores)
 
     # -- I/O ---------------------------------------------------------------
 
@@ -399,9 +375,8 @@ def cost_cp(cp: CPRep) -> int:
     return cp.base * cp.level * cp.rank + cp.rank * cp.space.dim
 
 
-def complexity(rep, eta: float = 0.0, minimize_level: bool = False,
-               budget: int = DEFAULT_BUDGET,
-               level_tol: float = 1e-9) -> ComplexityReport:
+def complexity(rep, eta: float = 0.0,
+               minimize_level: bool = False) -> ComplexityReport:
     """Complexity report for a train or CP representation.
 
     With minimize_level=True the train is re-canonicalized at the minimal
@@ -415,11 +390,11 @@ def complexity(rep, eta: float = 0.0, minimize_level: bool = False,
     verified: bool | None = None
     if minimize_level:
         try:
-            full = tt.to_full(budget=budget)
+            full = tt.to_full()
         except BudgetError:
             pass
         else:
-            coarse = full.coarsen(tol=level_tol)
+            coarse = full.coarsen()
             if coarse.level == 0:  # global polynomial; trains need level >= 1
                 coarse = coarse.relevel_up(1)
             tt = tt_svd(coarse, 0.0)
@@ -481,14 +456,13 @@ def maxrank_pair(space: PolySpace, n: int, rng) -> tuple[TensorTrain, TensorTrai
     return full_rank, rank_one
 
 
-def maxrank_growth(space: PolySpace, n_values, rng,
-                   round_tol: float = 1e-12) -> list[dict]:
+def maxrank_growth(space: PolySpace, n_values, rng) -> list[dict]:
     """Growth of cost_rmax(sum)/n along a geometric budget sweep."""
     rows = []
     for n in n_values:
         a, b_ = maxrank_pair(space, int(n), rng)
         n_meas = max(complexity(a).rmax, complexity(b_).rmax)
-        cs = complexity((a + b_).round(round_tol))
+        cs = complexity((a + b_).round(1e-12))
         rows.append({
             "n": n_meas,
             "cost_sum": cs.rmax,

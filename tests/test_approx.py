@@ -160,3 +160,8 @@ def test_lemma_corpus_fault_injection():
                           fault="rounding-split")
     failing = [e["lemma"] for e in report if e["status"] != "pass"]
     assert failing == ["rounding-accuracy[b=2,m=3]"]
+
+
+def test_lemma_corpus_rejects_unknown_fault():
+    with pytest.raises(ValueError, match="unknown fault"):
+        lemma_corpus(b=2, degrees=(1,), d_max=4, n_pairs=2, fault="bogus")

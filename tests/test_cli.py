@@ -106,6 +106,43 @@ def test_usage_errors_exit_2():
                    opt, "1") == 2
 
 
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
+    """Non-finite values, non-integer lists, unknown faults and staircases
+    that are not one: exit 2 and one `error:` line, never a traceback."""
+    nan_rows = tmp_path / "nan.csv"
+    nan_rows.write_text("0,1\n0.5,nan\n1,2\n")
+    cases = [
+        ("tensorize", "--func", "sin:nan", "--d", "2"),
+        ("tensorize", "--func", f"samples:{nan_rows}", "--d", "2"),
+        ("tensorize", "--func", "indicator:0,1/0,1:1,0", "--d", "2"),
+        ("tensorize", "--func", "indicator:0,0.7,0.3,1:1,2,3", "--d", "2"),
+        ("ranks", "--func", "indicator:0.2,0.5,1:1,0", "--d", "2"),
+        ("verify", "--m", "1.5", "--d-max", "2", "--pairs", "1"),
+        ("sweep", "--func", "sqrt", "--d-grid", "2.7", "--tol-grid", "0"),
+        ("verify", "--m", "0", "--d-max", "2", "--pairs", "1",
+         "--inject-fault", "bogus"),
+    ]
+    for argv in cases:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1, argv
+
+
+def test_density_deep_rows_finite(capsys):
+    """b^d overflows past d = 1023 and b^-d underflows past 1074: every row
+    stays finite and within its bound, and the deepest report error 0."""
+    for b in ("2", "3"):
+        assert run("density", "--func", "indicator:0,1/3,1:1,0", "--b", b,
+                   "--d-max", "1100") == 0
+        rows = [r.split(",") for r in
+                capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) == 1100
+        assert all(np.isfinite(float(v)) for r in rows for v in r[1:4])
+        assert all(r[4] == "1" for r in rows)
+        assert float(rows[-1][1]) == 0.0
+
+
 def test_ranks_command(tmp_path):
     out = tmp_path / "ranks.csv"
     code = run("ranks", "--func", "poly:0,0,0,1", "--d", "6", "--m", "3",

@@ -394,6 +394,21 @@ def test_relevel_new_ranks_capped(space):
     assert ranks[3] <= 3 and ranks[4] <= 3
 
 
+def test_relevel_up_memory_bounded(space):
+    """Each added digit is one contraction of the previous level, so the
+    peak is the output plus the level before it (1.5x), not b slices and
+    their stack on top (2.5x)."""
+    import tracemalloc
+    tf = TensorizedFunction.tensorize(np.sqrt, space, 12)
+    tracemalloc.start()
+    try:
+        up = tf.relevel_up(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * up.coeffs.nbytes
+
+
 def test_relevel_budget(space):
     tf = TensorizedFunction.tensorize(lambda x: np.asarray(x), space, 2)
     with pytest.raises(BudgetError):

@@ -337,6 +337,18 @@ def test_extend_rank_bound_after_round(space, rng):
         assert all(r <= space.dim for r in ext.ranks[3:])
 
 
+def test_extend_ranks_before_rounding(rng):
+    """Every digit past the old level applies one dilation to an (m+1)
+    coefficient bond, so no rounding is needed for the m+1 bound."""
+    for b in (2, 3, 10):
+        for m in (0, 1, 3):
+            t = random_train(PolySpace(m, b), 3, rng, max_rank=4)
+            for extra in (1, 2, 5):
+                ext = t.extend_level(3 + extra)
+                assert ext.ranks[:3] == t.ranks
+                assert all(r <= m + 1 for r in ext.ranks[3:])
+
+
 def test_extend_sparse_cost_ledger(space, rng):
     """The constructed extension costs at most b*nnz + extra*b^2*(m+1)^3."""
     b, dim = space.base, space.dim
