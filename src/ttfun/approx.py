@@ -37,13 +37,6 @@ class ClassSeminormEstimate:
     n_max: int
 
 
-def _measure_value(report, measure: str) -> int:
-    if measure not in _MEASURE_FIELDS:
-        raise ValueError(f"unknown measure {measure!r}; "
-                         f"choose from {MEASURES}")
-    return getattr(report, _MEASURE_FIELDS[measure])
-
-
 def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
                 budget: int = DEFAULT_BUDGET, ref_margin: int = 2
                 ) -> list[ErrorCurvePoint]:
@@ -54,6 +47,11 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
     levels finer than the deepest candidate.  The emitted curve is the
     lower envelope over the complexity budget n, so it is nonincreasing.
     """
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    if measure not in _MEASURE_FIELDS:
+        raise ValueError(f"unknown measure {measure!r}; "
+                         f"choose from {MEASURES}")
     d_grid = sorted(set(int(d) for d in d_grid))
     tol_grid = sorted(set(float(t) for t in tol_grid), reverse=True)
     if not d_grid or not tol_grid:
@@ -68,7 +66,8 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
             full = tt.to_full(budget=budget).relevel_up(d_ref, budget=budget)
             err = (full - ref).lp_norm(p)
             report = complexity(tt)
-            raw.append((int(_measure_value(report, measure)), err, d, tt.ranks))
+            n = int(getattr(report, _MEASURE_FIELDS[measure]))
+            raw.append((n, err, d, tt.ranks))
     raw.sort(key=lambda t: (t[0], t[1]))
     points = []
     best = math.inf
@@ -115,14 +114,16 @@ def class_seminorm(curve, alpha: float, q: float, n_max: int
 
 def staircase_steps(breakpoints, values) -> tuple[list, list]:
     """The breakpoints x_0 = 0 < ... < x_n = 1 and values a_0..a_{n-1} of
-    the simple function sum_i a_i on [x_i, x_{i+1}), as floats; anything
-    else raises ValueError."""
+    the simple function sum_i a_i on [x_i, x_{i+1}), as finite floats;
+    anything else raises ValueError."""
     x = [float(v) for v in breakpoints]
     a = [float(v) for v in values]
     if len(x) != len(a) + 1:
         raise ValueError("need one more breakpoint than values")
-    if x[0] != 0.0 or x[-1] != 1.0 or any(u >= v for u, v in zip(x, x[1:])):
+    if x[0] != 0.0 or x[-1] != 1.0 or not all(np.diff(x) > 0):
         raise ValueError("breakpoints must increase from 0 to 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"values must be finite, got {a}")
     return x, a
 
 
@@ -137,6 +138,8 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
     0.0 report error 0.
     """
     x, a = staircase_steps(breakpoints, values)
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
     if not 0 < p < math.inf:  # the closed form needs a finite p
         raise ValueError(f"p must be positive and finite, got {p}")
     if d_max < 1:
@@ -237,6 +240,8 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
     if d_max < 2:  # the pair and train suites draw levels from 2..d_max
         raise ValueError(f"d_max must be >= 2, got {d_max}")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     report = []
     if not degrees:

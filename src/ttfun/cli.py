@@ -27,51 +27,61 @@ class UsageError(ValueError):
 
 
 def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t != ""]
+    return [float(t) for t in text.split(",")]
 
 
 def int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
+    return [int(t) for t in text.split(",")]
 
 
 def _fraction(text: str) -> float:
     if "/" in text:
         num, den = text.split("/")
+        if float(den) == 0.0:
+            raise UsageError(f"zero denominator in {text!r}")
         return float(num) / float(den)
     return float(text)
 
 
-def parse_function_spec(spec: str):
-    """Parse a registry entry of the form kind[:group[:group]].
+# One form per spec kind: it fixes the ':' field count and is the error hint.
+SPEC_FORMS = {
+    "poly": "poly:c0,c1,...",
+    "sin": "sin:freq",
+    "abs_power": "abs_power:center,exponent",
+    "sqrt": "sqrt",
+    "indicator": "indicator:x0,...,xn:a0,...,a(n-1)",
+    "samples": "samples:path.csv",
+}
 
-    Kinds: poly:c0,c1,..., sin:freq, abs_power:center,exponent, sqrt,
-    indicator:x0,x1,...,xn:a0,...,a(n-1), samples:path.csv.
+
+def parse_function_spec(spec: str):
+    """Parse a registry entry of one of the forms in SPEC_FORMS.
+
     Returns (callable, simple_spec_or_None).
     """
     parts = spec.split(":")
     kind = parts[0]
+    if kind not in SPEC_FORMS:
+        raise UsageError(f"unknown function kind {kind!r}; the forms are "
+                         + ", ".join(SPEC_FORMS.values()))
+    if len(parts) != SPEC_FORMS[kind].count(":") + 1:
+        raise UsageError(f"{spec!r} does not match {SPEC_FORMS[kind]}")
     if kind == "poly":
-        if len(parts) != 2:
-            raise UsageError("poly needs coefficients, e.g. poly:0,0,1")
         coeffs = _floats(parts[1])
         return (lambda x: np.polynomial.polynomial.polyval(
             np.asarray(x, dtype=float), coeffs)), None
     if kind == "sin":
-        if len(parts) != 2:
-            raise UsageError("sin needs a frequency, e.g. sin:1")
         freq = float(parts[1])
         return (lambda x: np.sin(2 * np.pi * freq * np.asarray(x))), None
     if kind == "abs_power":
-        if len(parts) != 2 or len(_floats(parts[1])) != 2:
-            raise UsageError("abs_power needs center,exponent")
-        center, expo = _floats(parts[1])
+        values = _floats(parts[1])
+        if len(values) != 2:
+            raise UsageError(f"{spec!r} does not match {SPEC_FORMS[kind]}")
+        center, expo = values
         return (lambda x: np.abs(np.asarray(x) - center) ** expo), None
     if kind == "sqrt":
         return (lambda x: np.sqrt(np.asarray(x, dtype=float))), None
     if kind == "indicator":
-        if len(parts) != 3:
-            raise UsageError("indicator needs breakpoints and values, e.g. "
-                             "indicator:0,1/3,1:1,0")
         try:
             bps, vals = staircase_steps(map(_fraction, parts[1].split(",")),
                                         map(_fraction, parts[2].split(",")))
@@ -87,24 +97,20 @@ def parse_function_spec(spec: str):
             return val_arr[idx]
 
         return staircase, (bps, vals)
-    if kind == "samples":
-        if len(parts) != 2:
-            raise UsageError("samples needs a CSV path")
-        path = parts[1]
-        try:
-            with open(path, newline="") as fh:
-                rows = [(float(a), float(b)) for a, b in csv.reader(fh)
-                        if a.strip() and not a.lstrip().startswith("x")]
-        except OSError as exc:
-            raise UsageError(f"cannot read samples file {path}: {exc}")
-        if len(rows) < 2:
-            raise UsageError(f"samples file {path} needs at least two rows")
-        if not np.all(np.isfinite(rows)):
-            raise UsageError(f"samples file {path} has a non-finite value")
-        xs, ys = map(np.asarray, zip(*sorted(rows)))
-        # piecewise-linear interpolation layer ahead of the projection
-        return (lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)), None
-    raise UsageError(f"unknown function kind {kind!r}")
+    path = parts[1]  # kind == "samples"
+    try:
+        with open(path, newline="") as fh:
+            rows = [(float(a), float(b)) for a, b in csv.reader(fh)
+                    if a.strip() and not a.lstrip().startswith("x")]
+    except OSError as exc:
+        raise UsageError(f"cannot read samples file {path}: {exc}")
+    if len(rows) < 2:
+        raise UsageError(f"samples file {path} needs at least two rows")
+    if not np.all(np.isfinite(rows)):
+        raise UsageError(f"samples file {path} has a non-finite value")
+    xs, ys = map(np.asarray, zip(*sorted(rows)))
+    # piecewise-linear interpolation layer ahead of the projection
+    return (lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)), None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,38 +171,25 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _validate(args) -> None:
-    if getattr(args, "b", 2) < 2:
-        raise UsageError("--b must be >= 2")
-    if getattr(args, "d", 0) < 0:
-        raise UsageError("--d must be >= 0")
-    m = getattr(args, "m", 0)
-    if isinstance(m, int) and m < 0:
-        raise UsageError("--m must be >= 0")
-    if not getattr(args, "p", 1.0) > 0:
-        raise UsageError("--p must be positive")
-    if getattr(args, "pairs", 1) < 1:
-        raise UsageError("--pairs must be >= 1")
+def _project(args) -> TensorizedFunction:
+    """The level --d projection of --func on P_m in base b."""
+    f, _ = parse_function_spec(args.func)
+    return TensorizedFunction.tensorize(f, PolySpace(args.m, args.b), args.d,
+                                        budget=args.budget)
 
 
 def _cmd_tensorize(args) -> int:
-    f, _ = parse_function_spec(args.func)
-    space = PolySpace(args.m, args.b)
-    tf = TensorizedFunction.tensorize(f, space, args.d, budget=args.budget)
+    tf = _project(args)
     if args.out:
         tf.save(args.out)
-    profile = tf.rank_profile() if args.d >= 1 else None
     print(f"norm_l2={tf.lp_norm(2):.12g}")
-    if profile is not None:
-        print("ranks=" + ",".join(str(r) for r in profile.ranks))
+    if args.d >= 1:
+        print("ranks=" + ",".join(str(r) for r in tf.rank_profile().ranks))
     return 0
 
 
 def _cmd_ranks(args) -> int:
-    f, _ = parse_function_spec(args.func)
-    space = PolySpace(args.m, args.b)
-    tf = TensorizedFunction.tensorize(f, space, args.d, budget=args.budget)
-    profile = tf.rank_profile(tol=args.tol)
+    profile = _project(args).rank_profile(tol=args.tol)
     lines = ["nu,r_nu"] + [f"{nu},{r}" for nu, r in
                            enumerate(profile.ranks, start=1)]
     _emit("\n".join(lines) + "\n", args.out)
@@ -218,8 +211,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.m:
-        raise UsageError("--m needs at least one degree")
     report = lemma_corpus(b=args.b, degrees=args.m, d_max=args.d_max,
                           seed=args.seed, n_pairs=args.pairs,
                           fault=args.inject_fault)
@@ -234,9 +225,8 @@ def _cmd_verify(args) -> int:
 def _cmd_density(args) -> int:
     _, simple = parse_function_spec(args.func)
     if simple is None:
-        raise UsageError("density needs an indicator:... function spec")
-    bps, vals = simple
-    rows = density_sweep(bps, vals, args.b, args.p, args.d_max)
+        raise UsageError(f"density needs {SPEC_FORMS['indicator']}")
+    rows = density_sweep(*simple, args.b, args.p, args.d_max)
     lines = ["d,error,error_p,bound_p,within_bound,slope"]
     for r in rows:
         lines.append(f"{r['d']},{r['error']:.17g},{r['error_p']:.17g},"
@@ -247,12 +237,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    if args.d_new < args.d:
-        raise UsageError("--d-new must be >= --d")
-    f, _ = parse_function_spec(args.func)
-    space = PolySpace(args.m, args.b)
-    tf = TensorizedFunction.tensorize(f, space, args.d, budget=args.budget)
-    tt = tt_svd(tf, 0.0).extend_level(args.d_new).round(args.tol)
+    tt = tt_svd(_project(args), 0.0).extend_level(args.d_new).round(args.tol)
     if args.out:
         tt.save(args.out)
     print("ranks=" + ",".join(str(r) for r in tt.ranks))
@@ -276,7 +261,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _validate(args)
         return _COMMANDS[args.command](args)
     except (BudgetError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

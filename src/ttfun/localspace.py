@@ -114,10 +114,12 @@ class PolySpace:
         points x (..., Q): row i projects y -> f(a + h y) if x[i] = a + h
         nodes, by the Gauss rule of order `quad_order`.  f is called once on
         x, and point by point only when it does not return x's shape; a
-        non-finite value raises ArithmeticError."""
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.vectorize(f, otypes=[float])(x)
+        non-finite value raises ArithmeticError, as the only report: f runs
+        with numpy's floating-point warnings off."""
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(x), dtype=float)
+            if vals.shape != x.shape:
+                vals = np.vectorize(f, otypes=[float])(x)
         bad = ~np.isfinite(vals)
         if bad.any():
             raise ArithmeticError(

@@ -283,12 +283,12 @@ class TensorizedFunction:
             c = _next_digit(self.space, c)
         return TensorizedFunction(self.space, new_level, c)
 
-    def coarsen(self, tol: float = 1e-9) -> "TensorizedFunction":
+    def coarsen(self) -> "TensorizedFunction":
         """Greedy coarsening to the minimal level holding the same function.
 
         A level is peeled off when every group of b sibling cells is the
         dilation family of one common coarse polynomial, up to a relative
-        least-squares residual of tol.
+        least-squares residual of 1e-9.
         """
         space = self.space
         b, dim = self.base, space.dim
@@ -299,15 +299,15 @@ class TensorizedFunction:
             sol, *_ = np.linalg.lstsq(stacked, rhs.T, rcond=None)
             resid = np.linalg.norm(stacked @ sol - rhs.T, axis=0)
             norms = np.linalg.norm(rhs, axis=1)
-            if np.any(resid > tol * np.maximum(norms, 1e-300)):
+            if np.any(resid > 1e-9 * np.maximum(norms, 1e-300)):
                 break
             cur = TensorizedFunction(
                 space, cur.level - 1,
                 sol.T.reshape((b,) * (cur.level - 1) + (dim,)))
         return cur
 
-    def minimal_level(self, tol: float = 1e-9) -> int:
-        return self.coarsen(tol).level
+    def minimal_level(self) -> int:
+        return self.coarsen().level
 
     # -- arithmetic helpers ------------------------------------------------
 

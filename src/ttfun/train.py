@@ -143,7 +143,7 @@ class TensorTrain:
         if self.is_zero():
             return TensorTrain.zero(self.space, self.level)
         d = self.level
-        cores = [g.copy() for g in self.cores]
+        cores = list(self.cores)
         # Right-to-left orthogonalization (LQ), absorbing factors leftwards.
         # The triangular factors are renormalized and their scale tracked in
         # log space: at deep levels the raw Frobenius norm is b^(d/2) times
@@ -182,11 +182,11 @@ class TensorTrain:
             raise ValueError("extend_level cannot decrease the level")
         if new_level == self.level:
             return self
-        cores, bond = list(self.cores[:-1]), self.cores[-1][:, :, 0]
-        for _ in range(new_level - self.level):
-            cores.append(_next_digit(self.space, bond))
-            bond = np.eye(self.space.dim)
-        cores.append(bond[:, :, None])
+        eye = np.eye(self.space.dim)
+        cores = list(self.cores[:-1])
+        cores.append(_next_digit(self.space, self.cores[-1][:, :, 0]))
+        cores += [_next_digit(self.space, eye)] * (new_level - self.level - 1)
+        cores.append(eye[:, :, None])
         return TensorTrain(self.space, cores)
 
     # -- I/O ---------------------------------------------------------------

@@ -48,6 +48,18 @@ def test_error_curve_measure_validation(space):
         error_curve(lambda x: np.asarray(x), space, 2.0, "R", [2], [0.0])
     with pytest.raises(ValueError):
         error_curve(lambda x: np.asarray(x), space, 2.0, "N", [], [0.0])
+    # a bad measure or p is rejected before f is projected at all
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.asarray(x)
+
+    for p, measure in ((2.0, "bogus"), (0.0, "N"), (-1.0, "N"),
+                       (math.nan, "N")):
+        with pytest.raises(ValueError):
+            error_curve(f, space, p, measure, [2], [0.0])
+    assert calls == []
 
 
 def test_class_seminorm_zero_curve():
@@ -118,6 +130,15 @@ def test_density_validation():
     for p in (math.nan, math.inf):
         with pytest.raises(ValueError):
             density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], 2, p, 4)
+    for b in (1, 0, -2):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            density_sweep([0.0, 0.5, 1.0], [1.0, 0.0], b, 1.0, 4)
+    # non-finite breakpoints and values are not a staircase
+    for x, a in (([0.0, math.nan, 1.0], [1.0, 0.0]),
+                 ([0.0, 0.5, 1.0], [math.inf, 0.0]),
+                 ([0.0, 0.5, 1.0], [1.0, math.nan])):
+        with pytest.raises(ValueError):
+            density_sweep(x, a, 2, 1.0, 4)
 
 
 def test_corpus_functions_cover_cases():
@@ -153,6 +174,10 @@ def test_lemma_corpus_rejects_shallow_d_max():
     for d_max in (1, 0, -3):
         with pytest.raises(ValueError, match="d_max must be >= 2"):
             lemma_corpus(b=2, degrees=(1,), d_max=d_max, n_pairs=2)
+    # with no pairs the pair suites would pass vacuously
+    for n_pairs in (0, -1):
+        with pytest.raises(ValueError, match="n_pairs must be >= 1"):
+            lemma_corpus(b=2, degrees=(1,), d_max=4, n_pairs=n_pairs)
 
 
 def test_lemma_corpus_fault_injection():

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,9 @@ def test_usage_errors_exit_2():
 
 
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
-    """Non-finite values, non-integer lists, unknown faults and staircases
-    that are not one: exit 2 and one `error:` line, never a traceback."""
+    """Non-finite values, non-integer lists, unknown faults, staircases
+    that are not one, malformed specs and values the library rejects: exit 2
+    and one `error:` line, never a traceback or a numpy warning."""
     nan_rows = tmp_path / "nan.csv"
     nan_rows.write_text("0,1\n0.5,nan\n1,2\n")
     cases = [
@@ -121,12 +124,27 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         ("sweep", "--func", "sqrt", "--d-grid", "2.7", "--tol-grid", "0"),
         ("verify", "--m", "0", "--d-max", "2", "--pairs", "1",
          "--inject-fault", "bogus"),
+        ("tensorize", "--func", "poly:", "--d", "2"),
+        ("tensorize", "--func", "poly:1,,2", "--d", "2"),
+        ("tensorize", "--func", "sqrt:5", "--d", "2"),
+        ("tensorize", "--func", "sin:inf", "--d", "2"),
+        ("tensorize", "--func", "poly:1e308,1e308,1e308", "--d", "2"),
+        ("tensorize", "--func", "indicator:0,nan,1:1,0", "--d", "2"),
+        ("density", "--func", "indicator:0,1/3,1:inf,0"),
+        ("density", "--func", "indicator:0,1/3,1:1,0", "--b", "1"),
+        ("extend", "--func", "poly:0,1", "--d", "4", "--d-new", "2"),
     ]
+    errs = {}
     for argv in cases:
-        assert run(*argv) == 2, argv
-        err = capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv) == 2, argv
+        assert not caught, (argv, str(caught[0].message))
+        err = errs[argv] = capsys.readouterr().err
         assert "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == 1, argv
+    # the message names the field at fault
+    assert "1/0" in errs[cases[2]]
 
 
 def test_density_deep_rows_finite(capsys):
