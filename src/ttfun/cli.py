@@ -35,12 +35,12 @@ def int_list(text: str) -> list[int]:
 
 
 def _fraction(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        if float(den) == 0.0:
-            raise UsageError(f"zero denominator in {text!r}")
-        return float(num) / float(den)
-    return float(text)
+    num, slash, den = text.partition("/")
+    if not slash:
+        return float(text)
+    if float(den) == 0.0:
+        raise UsageError(f"zero denominator in {text!r}")
+    return float(num) / float(den)
 
 
 # One form per spec kind: it fixes the ':' field count and is the error hint.
@@ -57,36 +57,41 @@ SPEC_FORMS = {
 def parse_function_spec(spec: str):
     """Parse a registry entry of one of the forms in SPEC_FORMS.
 
-    Returns (callable, simple_spec_or_None).
+    Returns (callable, simple_spec_or_None).  Every error names the spec
+    and its form.
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind = spec.split(":", 1)[0]
     if kind not in SPEC_FORMS:
         raise UsageError(f"unknown function kind {kind!r}; the forms are "
                          + ", ".join(SPEC_FORMS.values()))
+    # a samples path may itself hold ':'
+    parts = spec.split(":", 1 if kind == "samples" else -1)
     if len(parts) != SPEC_FORMS[kind].count(":") + 1:
         raise UsageError(f"{spec!r} does not match {SPEC_FORMS[kind]}")
+    try:
+        return _spec_function(kind, parts[1:])
+    except ValueError as exc:
+        raise UsageError(f"bad spec {spec!r} (form {SPEC_FORMS[kind]}): "
+                         f"{exc}") from None
+
+
+def _spec_function(kind: str, fields: list[str]):
+    """(callable, simple_spec_or_None) of the ':' fields of one spec kind."""
     if kind == "poly":
-        coeffs = _floats(parts[1])
+        coeffs = _floats(fields[0])
         return (lambda x: np.polynomial.polynomial.polyval(
             np.asarray(x, dtype=float), coeffs)), None
     if kind == "sin":
-        freq = float(parts[1])
+        freq = float(fields[0])
         return (lambda x: np.sin(2 * np.pi * freq * np.asarray(x))), None
     if kind == "abs_power":
-        values = _floats(parts[1])
-        if len(values) != 2:
-            raise UsageError(f"{spec!r} does not match {SPEC_FORMS[kind]}")
-        center, expo = values
+        center, expo = _floats(fields[0])
         return (lambda x: np.abs(np.asarray(x) - center) ** expo), None
     if kind == "sqrt":
         return (lambda x: np.sqrt(np.asarray(x, dtype=float))), None
     if kind == "indicator":
-        try:
-            bps, vals = staircase_steps(map(_fraction, parts[1].split(",")),
-                                        map(_fraction, parts[2].split(",")))
-        except ValueError as exc:
-            raise UsageError(f"indicator: {exc}") from None
+        bps, vals = staircase_steps(map(_fraction, fields[0].split(",")),
+                                    map(_fraction, fields[1].split(",")))
         bp_arr = np.asarray(bps)
         val_arr = np.asarray(vals)
 
@@ -97,7 +102,7 @@ def parse_function_spec(spec: str):
             return val_arr[idx]
 
         return staircase, (bps, vals)
-    path = parts[1]  # kind == "samples"
+    path = fields[0]  # kind == "samples"
     try:
         with open(path, newline="") as fh:
             rows = [(float(a), float(b)) for a, b in csv.reader(fh)

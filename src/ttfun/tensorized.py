@@ -159,6 +159,32 @@ def _svd_sweep(coeffs: np.ndarray, delta: float, caps,
     return cores, spectra
 
 
+def _rank_profile(tol: float, spectra_at) -> RankProfile:
+    """Prefix ranks s > tol * s[0] of the spectra that `spectra_at(floor)`
+    returns from one untruncated sweep.  The sweep drops only s <= floor *
+    s[0] with floor = 1e-3 * tol, which by Weyl's inequality moves the later
+    spectra by far less than tol * s[0]."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0,1), got {tol}")
+    spectra = spectra_at(1e-3 * tol)
+    return RankProfile(len(spectra), tuple(
+        0 if s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
+        for s in spectra), tol)
+
+
+def _coarser(space: PolySpace, rows: np.ndarray, scale):
+    """One digit less: the coarse rows c (n, m+1) whose dilation families
+    D_0 c, ..., D_(b-1) c are the sibling rows (n, b(m+1)), or None when the
+    least-squares residual of some row exceeds 1e-9 * scale (one scale per
+    row, or one for all)."""
+    stacked = space.dilation_matrices.reshape(-1, space.dim)
+    sol, *_ = np.linalg.lstsq(stacked, rows.T, rcond=None)
+    resid = np.linalg.norm(stacked @ sol - rows.T, axis=0)
+    if np.any(resid > 1e-9 * np.maximum(scale, 1e-300)):
+        return None
+    return sol.T
+
+
 def _next_digit(space: PolySpace, c: np.ndarray) -> np.ndarray:
     """One more digit: rows c (..., m+1) to (..., b, m+1) with D_i c at i."""
     return np.tensordot(c, space.dilation_matrices, axes=(-1, 2))
@@ -173,11 +199,14 @@ def _unpack(raw: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
 
 
 def _payload(raw: bytes, pos: int, count: int) -> np.ndarray:
-    """raw[pos:] as exactly `count` little-endian f64 values."""
+    """raw[pos:] as exactly `count` finite little-endian f64 values."""
     if len(raw) - pos != 8 * count:
         raise ValueError(f"payload has {len(raw) - pos} bytes, the header "
                          f"implies {8 * count}")
-    return np.frombuffer(raw, dtype="<f8", offset=pos)
+    data = np.frombuffer(raw, dtype="<f8", offset=pos)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("payload holds a non-finite value")
+    return data
 
 
 class TensorizedFunction:
@@ -245,17 +274,10 @@ class TensorizedFunction:
     # -- ranks and slicing ------------------------------------------------
 
     def rank_profile(self, tol: float = 1e-10) -> RankProfile:
-        """Numerical ranks of the prefix unfoldings (digits 1..nu vs rest):
-        s > tol * s[0] on each spectrum of one TT-SVD sweep.  The sweep drops
-        only s <= 1e-3 * tol * s[0], which by Weyl's inequality moves the
-        later spectra by far less than tol * s[0]."""
-        if not 0.0 < tol < 1.0:
-            raise ValueError(f"tol must be in (0,1), got {tol}")
-        _, spectra = _svd_sweep(self.coeffs, 0.0, [None] * self.level,
-                                rel_floor=1e-3 * tol)
-        return RankProfile(self.level, tuple(
-            0 if s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
-            for s in spectra), tol)
+        """Numerical ranks of the prefix unfoldings (digits 1..nu vs rest),
+        read off the spectra of one untruncated TT-SVD sweep."""
+        return _rank_profile(tol, lambda floor: _svd_sweep(
+            self.coeffs, 0.0, [None] * self.level, rel_floor=floor)[1])
 
     def partial_eval(self, digits) -> "TensorizedFunction":
         """Fix the first digits: the rescaled restriction to one cell."""
@@ -283,31 +305,19 @@ class TensorizedFunction:
             c = _next_digit(self.space, c)
         return TensorizedFunction(self.space, new_level, c)
 
-    def coarsen(self) -> "TensorizedFunction":
-        """Greedy coarsening to the minimal level holding the same function.
-
-        A level is peeled off when every group of b sibling cells is the
-        dilation family of one common coarse polynomial, up to a relative
-        least-squares residual of 1e-9.
-        """
-        space = self.space
-        b, dim = self.base, space.dim
-        stacked = space.dilation_matrices.reshape(b * dim, dim)
-        cur = self
-        while cur.level > 0:
-            rhs = cur.coeffs.reshape(-1, b * dim)
-            sol, *_ = np.linalg.lstsq(stacked, rhs.T, rcond=None)
-            resid = np.linalg.norm(stacked @ sol - rhs.T, axis=0)
-            norms = np.linalg.norm(rhs, axis=1)
-            if np.any(resid > 1e-9 * np.maximum(norms, 1e-300)):
-                break
-            cur = TensorizedFunction(
-                space, cur.level - 1,
-                sol.T.reshape((b,) * (cur.level - 1) + (dim,)))
-        return cur
-
     def minimal_level(self) -> int:
-        return self.coarsen().level
+        """Smallest level holding the same function: a digit is peeled off
+        while every group of b sibling cells is the dilation family of one
+        coarse polynomial, up to a least-squares residual of 1e-9 times the
+        group's own norm."""
+        level, rows = self.level, self.cell_coeffs
+        while level > 0:
+            rows = rows.reshape(-1, self.base * self.space.dim)
+            rows = _coarser(self.space, rows, np.linalg.norm(rows, axis=1))
+            if rows is None:
+                break
+            level -= 1
+        return level
 
     # -- arithmetic helpers ------------------------------------------------
 

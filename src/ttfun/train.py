@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .localspace import PolySpace
-from .tensorized import (DEFAULT_BUDGET, BudgetError, TensorizedFunction,
-                         _evaluate, _next_digit, _payload, _svd_step,
-                         _svd_sweep, _unpack)
+from .tensorized import (DEFAULT_BUDGET, BudgetError, RankProfile,
+                         TensorizedFunction, _coarser, _evaluate, _next_digit,
+                         _payload, _rank_profile, _svd_step, _svd_sweep,
+                         _unpack)
 
 _MAGIC_TT = b"QTTT"
 
@@ -132,19 +133,14 @@ class TensorTrain:
     def __neg__(self):
         return self * -1.0
 
-    def round(self, tol: float, rank_caps=None) -> "TensorTrain":
-        """Recompress: right-orthogonalize, then truncate left to right.
-
-        The L2 error is at most tol * ||self||_2; output ranks never exceed
-        input ranks.  The per-step budget is tol/sqrt(d) so the accumulated
-        Frobenius error stays below tol.
-        """
-        caps = _rank_caps(tol, rank_caps, self.level)
-        if self.is_zero():
-            return TensorTrain.zero(self.space, self.level)
+    def _sweep(self, delta: float, caps, rel_floor: float = 1e-12):
+        """Right-to-left QR, then left-to-right SVD steps truncated at
+        delta * ||self||: the cores and each step's spectrum over ||self||.
+        The QR pass leaves the cores right of step nu orthonormal and the
+        steps make those left of it so: without truncation, step nu sees the
+        spectrum of prefix unfolding nu (Oseledets 2011, section 3)."""
         d = self.level
         cores = list(self.cores)
-        # Right-to-left orthogonalization (LQ), absorbing factors leftwards.
         # The triangular factors are renormalized and their scale tracked in
         # log space: at deep levels the raw Frobenius norm is b^(d/2) times
         # the L2 norm and would overflow otherwise.
@@ -162,17 +158,51 @@ class TensorTrain:
         if norm > 0.0:
             cores[0] = cores[0] / norm
             logscale += np.log(norm)
-            norm = 1.0
-        delta = tol * norm / np.sqrt(d)
+        spectra = []
         for nu in range(d):
             r_prev, n, r = cores[nu].shape
-            u, carry, _ = _svd_step(cores[nu].reshape(r_prev * n, r), delta,
-                                    caps[nu])
+            u, carry, s = _svd_step(cores[nu].reshape(r_prev * n, r), delta,
+                                    caps[nu], rel_floor)
             cores[nu] = u.reshape(r_prev, n, -1)
             cores[nu + 1] = np.tensordot(carry, cores[nu + 1], axes=(1, 0))
+            spectra.append(s)
         factor = np.exp(logscale / (d + 1))
-        cores = [g * factor for g in cores]
+        return [g * factor for g in cores], spectra
+
+    def round(self, tol: float, rank_caps=None) -> "TensorTrain":
+        """Recompress by one canonical sweep (`_sweep`).
+
+        The L2 error is at most tol * ||self||_2; output ranks never exceed
+        input ranks.  The per-step budget is tol/sqrt(d) so the accumulated
+        Frobenius error stays below tol.
+        """
+        caps = _rank_caps(tol, rank_caps, self.level)
+        if self.is_zero():
+            return TensorTrain.zero(self.space, self.level)
+        cores, _ = self._sweep(tol / np.sqrt(self.level), caps)
         return TensorTrain(self.space, cores)
+
+    def rank_profile(self, tol: float = 1e-10) -> RankProfile:
+        """Numerical ranks of the prefix unfoldings, read off the spectra of
+        one untruncated canonical sweep; never builds the full tensor."""
+        return _rank_profile(tol, lambda floor: self._sweep(
+            0.0, [None] * self.level, floor)[1])
+
+    def coarsen(self) -> "TensorTrain":
+        """The same function at its minimal level (at least 1): on the
+        left-orthonormal cores of round(0.0), which keep the full tensor's
+        residual norms, the last digit core is merged into the coefficient
+        core while `_coarser` passes at the norm of all their rows.  A last
+        round(0.0) trims the merged bond."""
+        cores = self.round(0.0).cores
+        while len(cores) > 2:
+            rows = np.tensordot(cores[-2], cores[-1][:, :, 0], axes=(2, 0))
+            rows = rows.reshape(rows.shape[0], -1)
+            coarse = _coarser(self.space, rows, np.linalg.norm(rows))
+            if coarse is None:
+                break
+            cores = cores[:-2] + [coarse[:, :, None]]
+        return TensorTrain(self.space, cores).round(0.0)
 
     def extend_level(self, new_level: int) -> "TensorTrain":
         """Re-express the same function at a deeper level: the digit cores
@@ -379,26 +409,16 @@ def complexity(rep, eta: float = 0.0,
                minimize_level: bool = False) -> ComplexityReport:
     """Complexity report for a train or CP representation.
 
-    With minimize_level=True the train is re-canonicalized at the minimal
-    representation level before measuring (when the full tensor fits the
-    budget); otherwise measures refer to the representation as given and
-    level_is_minimal is left unverified (None).  A CP is measured as the
-    train cp_to_tt(cp), read off its factors unless the level is minimized.
+    With minimize_level=True the train is first brought to its minimal
+    level by `TensorTrain.coarsen`, and level_is_minimal is True; otherwise
+    measures refer to the representation as given and level_is_minimal is
+    left unverified (None).  A CP is measured as the train cp_to_tt(cp),
+    read off its factors unless the level is minimized.
     """
     cp = cost_cp(rep) if isinstance(rep, CPRep) else None
     tt = cp_to_tt(rep) if cp is not None and minimize_level else rep
-    verified: bool | None = None
     if minimize_level:
-        try:
-            full = tt.to_full()
-        except BudgetError:
-            pass
-        else:
-            coarse = full.coarsen()
-            if coarse.level == 0:  # global polynomial; trains need level >= 1
-                coarse = coarse.relevel_up(1)
-            tt = tt_svd(coarse, 0.0)
-            verified = True
+        tt = tt.coarsen()
     if isinstance(tt, CPRep):
         # cp_to_tt(tt) has ranks (rank,)*level, and its diagonal cores hold
         # exactly the nonzero entries and the peak of each factor
@@ -414,7 +434,7 @@ def complexity(rep, eta: float = 0.0,
         sparse=cost_sparse(cores, eta=eta),
         level=tt.level,
         cp=cp,
-        level_is_minimal=verified,
+        level_is_minimal=True if minimize_level else None,
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttfun import TensorTrain, TensorizedFunction
-from ttfun.cli import main, parse_function_spec
+from ttfun.cli import SPEC_FORMS, main, parse_function_spec
 
 
 def run(*argv):
@@ -38,13 +38,20 @@ def test_parse_samples(tmp_path):
     path.write_text("\n".join(f"{x},{x*x}" for x in xs))
     f, _ = parse_function_spec(f"samples:{path}")
     assert abs(f(0.5) - 0.25) < 1e-3
+    # the path is everything after the first ':'
+    colon = tmp_path / "a:b.csv"
+    colon.write_text(path.read_text())
+    f, _ = parse_function_spec(f"samples:{colon}")
+    assert abs(f(0.5) - 0.25) < 1e-3
 
 
 def test_parse_errors():
     from ttfun.cli import UsageError
     for spec in ("nope", "poly", "sin", "abs_power:1",
-                 "indicator:0,1:1,2", "samples:/does/not/exist.csv"):
-        with pytest.raises(UsageError):
+                 "indicator:0,1:1,2", "samples:/does/not/exist.csv",
+                 "poly:1,,2", "sin:x", "abs_power:a,1",
+                 "indicator:0,1/2/3,1:1,0"):
+        with pytest.raises(UsageError, match="form|does not match"):
             parse_function_spec(spec)
 
 
@@ -134,6 +141,10 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         ("density", "--func", "indicator:0,1/3,1:1,0", "--b", "1"),
         ("extend", "--func", "poly:0,1", "--d", "4", "--d-new", "2"),
     ]
+    bad_fields = ("poly:1,,2", "sin:x", "abs_power:a,1",
+                  "indicator:0,1/2/3,1:1,0")
+    cases += [("tensorize", "--func", spec, "--d", "2")
+              for spec in bad_fields[1:]]  # poly:1,,2 is listed above
     errs = {}
     for argv in cases:
         with warnings.catch_warnings(record=True) as caught:
@@ -143,8 +154,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         err = errs[argv] = capsys.readouterr().err
         assert "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == 1, argv
-    # the message names the field at fault
+    # the message names the field at fault, the spec and its form
     assert "1/0" in errs[cases[2]]
+    for spec in bad_fields:
+        err = errs[("tensorize", "--func", spec, "--d", "2")]
+        assert repr(spec) in err and SPEC_FORMS[spec.split(":")[0]] in err
 
 
 def test_density_deep_rows_finite(capsys):

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ttfun import (BudgetError, PolySpace, TensorizedFunction,
+from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
                    corpus_functions, cp_from_tensorized)
 from ttfun.cli import parse_function_spec
+from ttfun.tensorized import _svd_sweep
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -315,6 +316,8 @@ def unfolding_ranks(tf, tol):
 
 @pytest.mark.parametrize("b", [2, 3])
 def test_rank_profile_matches_unfolding_svds(b):
+    """The full tensor's profile and the profile of its train, built with
+    a sweep floor of 1e-3 * tol, against one SVD per unfolding."""
     for m in (0, 1, 3):
         space = PolySpace(m, b)
         cases = [TensorizedFunction(space, 0, np.arange(1.0, m + 2.0)),
@@ -324,7 +327,14 @@ def test_rank_profile_matches_unfolding_svds(b):
                       for d in (2, 4, 6, 8)]
         for tf in cases:
             for tol in (1e-10, 1e-6, 1e-13):
-                assert tf.rank_profile(tol).ranks == unfolding_ranks(tf, tol)
+                want = unfolding_ranks(tf, tol)
+                assert tf.rank_profile(tol).ranks == want
+                if tf.level:
+                    cores, _ = _svd_sweep(tf.coeffs, 0.0, [None] * tf.level,
+                                          rel_floor=1e-3 * tol)
+                    tt = TensorTrain(space, cores)
+                    assert tt.rank_profile(tol).ranks == want
+        assert TensorTrain.zero(space, 4).rank_profile().ranks == (0,) * 4
 
 
 def test_rank_profile_matches_unfolding_svds_deep(space):

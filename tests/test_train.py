@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ttfun import (CPRep, PolySpace, TensorTrain, TensorizedFunction,
-                   complexity, cost_cp, cost_dense, cost_rmax, cost_sparse,
-                   cost_sum_ranks, cp_from_tensorized, cp_to_tt,
-                   maxrank_growth, maxrank_pair, tt_svd)
+                   complexity, corpus_functions, cost_cp, cost_dense,
+                   cost_rmax, cost_sparse, cost_sum_ranks, cp_from_tensorized,
+                   cp_to_tt, maxrank_growth, maxrank_pair, tt_svd)
 from ttfun.approx import random_cp, random_train
 
 
@@ -349,6 +349,26 @@ def test_extend_ranks_before_rounding(rng):
                 assert all(r <= m + 1 for r in ext.ranks[3:])
 
 
+def test_rank_statements_deep():
+    """The rank statements at d=40, from the train alone: extension keeps
+    the prefix ranks and adds ranks <= m+1 (criterion 05), neighbouring
+    ranks differ by at most a factor b (criterion 04), every rank is at most
+    min(b^nu, b^(d-nu) (m+1)), and coarsening undoes the extension."""
+    for b, m in ((2, 3), (3, 1), (2, 0)):
+        space = PolySpace(m, b)
+        for _, f in corpus_functions(b):
+            tf = tensorize(f, space, 5)
+            deep = tt_svd(tf, 0.0).extend_level(40)
+            r = deep.rank_profile().ranks
+            assert r[:5] == tf.rank_profile().ranks
+            assert all(rank <= m + 1 for rank in r[5:])
+            for prev, cur in zip(r, r[1:]):
+                assert cur <= b * prev and prev <= b * cur
+            for nu, rank in enumerate(r, start=1):
+                assert rank <= min(b**nu, b**(40 - nu) * (m + 1))
+            assert deep.coarsen().level == max(tf.minimal_level(), 1)
+
+
 def test_extend_sparse_cost_ledger(space, rng):
     """The constructed extension costs at most b*nnz + extra*b^2*(m+1)^3."""
     b, dim = space.base, space.dim
@@ -382,8 +402,9 @@ def test_tt_load_bad_magic(tmp_path):
 
 @pytest.mark.parametrize("kind", ["qttf", "qttt"])
 def test_load_rejects_corrupt_files(kind, space, tmp_path):
-    """Seeded corruption of a valid file: every truncation, padding and
-    change of a header field raises ValueError."""
+    """Seeded corruption of a valid file: every truncation, padding,
+    change of a header field and non-finite payload value raises
+    ValueError."""
     rng = np.random.default_rng(20)
     path = tmp_path / f"f.{kind}"
     if kind == "qttf":
@@ -406,6 +427,8 @@ def test_load_rejects_corrupt_files(kind, space, tmp_path):
                            + good[pos + 4:])
     if kind == "qttf":
         bad.append(good[:16] + b"\x01" + good[17:])  # basis id
+    for value in (np.nan, np.inf):  # a non-finite last payload value
+        bad.append(good[:-8] + np.array(value, dtype="<f8").tobytes())
     for data in bad:
         path.write_bytes(data)
         with pytest.raises(ValueError):
@@ -506,6 +529,18 @@ def test_complexity_minimize_level(space):
         lambda x: (np.asarray(x) < 0.5).astype(float), space, 5), 0.0)
     rep = complexity(tt, minimize_level=True)
     assert rep.level == 1
+    # the merged bond is cut back to the coarse coefficient core's rank
+    space3 = PolySpace(3, 3)
+    for _, f in corpus_functions(3):
+        coarse = tt_svd(tensorize(f, space3, 6), 0.0).coarsen()
+        level = coarse.level
+        assert all(r <= min(3**nu, 3**(level - nu) * space3.dim)
+                   for nu, r in enumerate(coarse.ranks, start=1))
+    # far past any full-tensor budget: level 60 back to level 16
+    tt = tt_svd(tensorize(np.sqrt, space, 16), 0.0)
+    rep = complexity(tt.extend_level(60), minimize_level=True)
+    assert rep.level == 16
+    assert rep.level_is_minimal is True
 
 
 def test_complexity_cp_report(space, rng):
