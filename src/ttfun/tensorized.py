@@ -118,58 +118,88 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
     return out
 
 
-def _truncation_rank(s: np.ndarray, delta: float, cap: int | None,
-                     rel_floor: float = 1e-12) -> int:
-    """Smallest kept rank for a singular spectrum: keeps the Frobenius
-    tail below delta, drops relative noise below rel_floor, honors an
-    optional cap, and never returns less than 1."""
-    if s.size == 0 or s[0] == 0.0:
-        return 1
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
-    r_delta = int(np.searchsorted(-tail, -delta, side="left")) if delta > 0 \
-        else s.size
-    r = min(r_delta, int(np.count_nonzero(s > rel_floor * s[0])))
-    return max(r if cap is None else min(r, cap), 1)
-
-
-def _svd_step(mat: np.ndarray, delta: float, cap, rel_floor: float = 1e-12):
-    """One truncated SVD step of TT-SVD and of rounding: the kept left
-    factor u[:, :r], the carry s[:r] vt[:r] into the next core, and the
-    full singular spectrum s of `mat`."""
+def _svd_step(mat: np.ndarray, norm, delta: float, cap, rel_floor: float):
+    """One truncated SVD step of `_sweep`, in a function of its own so that
+    the full SVD factors die on return.  s is the spectrum of `mat` over the
+    tensor's norm: the first step (norm None) reads the norm off its own
+    spectrum as s[0] ||s / s[0]||, free of overflow (0 for a zero tensor),
+    and divides by it; later steps get a carry divided already.  The kept
+    rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
+    rel_floor * s[0], honors an optional cap and is at least 1.  Returns
+    u[:, :r], the carry s[:r] vt[:r] into the next core, s and the norm."""
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    r = _truncation_rank(s, delta, cap, rel_floor)
-    return u[:, :r], s[:r, None] * vt[:r], s
+    if norm is None:
+        norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0.0 else 0.0
+        s = s / (norm or 1.0)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
+    r = min(int(np.searchsorted(-tail, -delta)) if delta > 0 else s.size,
+            int(np.count_nonzero(s > rel_floor * s[0])))
+    r = max(r if cap is None else min(r, cap), 1)
+    return u[:, :r], s[:r, None] * vt[:r], s, norm
 
 
-def _svd_sweep(coeffs: np.ndarray, delta: float, caps,
-               rel_floor: float = 1e-12):
-    """Left-to-right TT-SVD of a (b,)*d + (m+1,) tensor with one cap per
-    digit mode: the d+1 cores and each step's spectrum.  The cores left of
-    step nu are orthonormal, so without truncation step nu sees the singular
-    values of the prefix unfolding nu (digits 1..nu vs the rest)."""
-    cores, spectra = [], []
-    carry = coeffs.reshape(1, -1)
+def _sweep(chain, modes, delta: float, caps, rel_floor: float = 1e-12):
+    """The one canonical sweep (Oseledets 2011, section 3) of a tensor with
+    mode sizes `modes`, held by a chain of cores: a full tensor is the
+    chain [coeffs], a train its cores, one per mode.  A right-to-left QR
+    pass leaves chain[1:] right-orthonormal.  Then one SVD step per cap runs
+    left to right, truncated at delta times the tensor's norm, and
+    contracts its carry into the next chain core when there is one: without
+    truncation step nu sees the spectrum of prefix unfolding nu.  Returns
+    the len(modes) cores of a train and each step's spectrum over the norm.
+
+    Scale is handled here only: the QR factors are divided by their
+    max-abs and the first step divides by the norm.  The product of these
+    scales is kept as a mantissa and a base-2 exponent (its log), so nothing
+    overflows at any depth or magnitude.  It goes back exactly: the exponent
+    is spread evenly over the cores and the mantissa multiplies the first
+    (an exp of the summed logs would cost |log scale| ulps, 1e-13 relative
+    at 1e300).  A zero tensor gets all-zero cores."""
+    # rest holds the right-orthonormal chain[1:] in pop order, so that
+    # each is freed once contracted
+    core, rest, scales = chain[-1], [], []
+    for left in chain[-2::-1]:
+        q, rr = np.linalg.qr(core.reshape(core.shape[0], -1).T)
+        peak = np.max(np.abs(rr))
+        if peak > 0.0:
+            rr = rr / peak
+            scales.append(peak)
+        rest.append(q.T)
+        core = np.tensordot(left, rr.T, axes=(-1, 0))
+    cores, spectra, norm = [], [], None
+    carry = core.reshape(1, -1)
     for nu, cap in enumerate(caps):
-        r_prev, n = carry.shape[0], coeffs.shape[nu]
-        u, carry, s = _svd_step(carry.reshape(r_prev * n, -1), delta, cap,
-                                rel_floor)
-        cores.append(u.reshape(r_prev, n, -1))
+        u, carry, s, norm = _svd_step(
+            carry.reshape(carry.shape[0] * modes[nu], -1), norm, delta, cap,
+            rel_floor)
+        cores.append(u.reshape(-1, modes[nu], u.shape[1]))
         spectra.append(s)
-    cores.append(carry.reshape(-1, coeffs.shape[-1], 1))
-    return cores, spectra
+        if rest:
+            carry = carry @ rest.pop()
+    cores.append(carry.reshape(-1, modes[-1], 1))
+    if norm == 0.0:
+        return [g * 0.0 for g in cores], spectra
+    mant, expo = 1.0, 0  # the product of the scales, mant * 2**expo
+    for x in scales + [norm or 1.0]:
+        mant, e = np.frexp(mant * x)
+        expo += int(e)
+    share, rem = divmod(expo, len(cores))
+    cores[0] = cores[0] * mant
+    return ([np.ldexp(g, share + (k < rem)) for k, g in enumerate(cores)],
+            spectra)
 
 
-def _rank_profile(tol: float, spectra_at) -> RankProfile:
-    """Prefix ranks s > tol * s[0] of the spectra that `spectra_at(floor)`
-    returns from one untruncated sweep.  The sweep drops only s <= floor *
-    s[0] with floor = 1e-3 * tol, which by Weyl's inequality moves the later
-    spectra by far less than tol * s[0]."""
+def _rank_profile(chain, modes, tol: float) -> RankProfile:
+    """Prefix ranks s > tol * s[0] of the spectra of one untruncated
+    `_sweep` of the chain.  The sweep drops only s <= floor * s[0] with
+    floor = 1e-3 * tol, which by Weyl's inequality moves the later spectra
+    by far less than tol * s[0]."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0,1), got {tol}")
-    spectra = spectra_at(1e-3 * tol)
+    _, spectra = _sweep(chain, modes, 0.0, [None] * (len(modes) - 1),
+                        1e-3 * tol)
     return RankProfile(len(spectra), tuple(
-        0 if s[0] == 0.0 else int(np.count_nonzero(s > tol * s[0]))
-        for s in spectra), tol)
+        int(np.count_nonzero(s > tol * s[0])) for s in spectra), tol)
 
 
 def _coarser(space: PolySpace, rows: np.ndarray, scale):
@@ -275,9 +305,8 @@ class TensorizedFunction:
 
     def rank_profile(self, tol: float = 1e-10) -> RankProfile:
         """Numerical ranks of the prefix unfoldings (digits 1..nu vs rest),
-        read off the spectra of one untruncated TT-SVD sweep."""
-        return _rank_profile(tol, lambda floor: _svd_sweep(
-            self.coeffs, 0.0, [None] * self.level, rel_floor=floor)[1])
+        read off the spectra of one untruncated `_sweep`."""
+        return _rank_profile([self.coeffs], self.coeffs.shape, tol)
 
     def partial_eval(self, digits) -> "TensorizedFunction":
         """Fix the first digits: the rescaled restriction to one cell."""
@@ -355,7 +384,7 @@ class TensorizedFunction:
             fh.write(self.coeffs.astype("<f8").tobytes())
 
     @classmethod
-    def load(cls, path, space: PolySpace | None = None) -> "TensorizedFunction":
+    def load(cls, path) -> "TensorizedFunction":
         """Read a QTTF file; a malformed file raises ValueError."""
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -367,11 +396,7 @@ class TensorizedFunction:
         if d > 64:  # b^d >= 2^d elements could never be stored
             raise ValueError(f"level {d} is too deep for a full tensor")
         data = _payload(raw, pos, b**d * (m + 1))
-        if space is None:
-            space = PolySpace(m, b)
-        elif space.base != b or space.degree != m:
-            raise ValueError("file parameters do not match the given space")
-        return cls(space, d, data.reshape((b,) * d + (m + 1,)))
+        return cls(PolySpace(m, b), d, data.reshape((b,) * d + (m + 1,)))
 
     def to_csv(self, path) -> None:
         """Rows (j, k, value) with j the cell index and k the basis index."""

@@ -17,8 +17,7 @@ import numpy as np
 from .localspace import PolySpace
 from .tensorized import (DEFAULT_BUDGET, BudgetError, RankProfile,
                          TensorizedFunction, _coarser, _evaluate, _next_digit,
-                         _payload, _rank_profile, _svd_step, _svd_sweep,
-                         _unpack)
+                         _payload, _rank_profile, _sweep, _unpack)
 
 _MAGIC_TT = b"QTTT"
 
@@ -133,60 +132,22 @@ class TensorTrain:
     def __neg__(self):
         return self * -1.0
 
-    def _sweep(self, delta: float, caps, rel_floor: float = 1e-12):
-        """Right-to-left QR, then left-to-right SVD steps truncated at
-        delta * ||self||: the cores and each step's spectrum over ||self||.
-        The QR pass leaves the cores right of step nu orthonormal and the
-        steps make those left of it so: without truncation, step nu sees the
-        spectrum of prefix unfolding nu (Oseledets 2011, section 3)."""
-        d = self.level
-        cores = list(self.cores)
-        # The triangular factors are renormalized and their scale tracked in
-        # log space: at deep levels the raw Frobenius norm is b^(d/2) times
-        # the L2 norm and would overflow otherwise.
-        logscale = 0.0
-        for nu in range(d, 0, -1):
-            r_prev, n, r = cores[nu].shape
-            q, rr = np.linalg.qr(cores[nu].reshape(r_prev, n * r).T)
-            cores[nu] = np.ascontiguousarray(q.T.reshape(-1, n, r))
-            nrm = np.linalg.norm(rr)
-            if nrm > 0.0:
-                rr = rr / nrm
-                logscale += np.log(nrm)
-            cores[nu - 1] = np.tensordot(cores[nu - 1], rr.T, axes=(2, 0))
-        norm = np.linalg.norm(cores[0])
-        if norm > 0.0:
-            cores[0] = cores[0] / norm
-            logscale += np.log(norm)
-        spectra = []
-        for nu in range(d):
-            r_prev, n, r = cores[nu].shape
-            u, carry, s = _svd_step(cores[nu].reshape(r_prev * n, r), delta,
-                                    caps[nu], rel_floor)
-            cores[nu] = u.reshape(r_prev, n, -1)
-            cores[nu + 1] = np.tensordot(carry, cores[nu + 1], axes=(1, 0))
-            spectra.append(s)
-        factor = np.exp(logscale / (d + 1))
-        return [g * factor for g in cores], spectra
-
     def round(self, tol: float, rank_caps=None) -> "TensorTrain":
-        """Recompress by one canonical sweep (`_sweep`).
+        """Recompress by one canonical `_sweep` of the cores.
 
         The L2 error is at most tol * ||self||_2; output ranks never exceed
         input ranks.  The per-step budget is tol/sqrt(d) so the accumulated
         Frobenius error stays below tol.
         """
         caps = _rank_caps(tol, rank_caps, self.level)
-        if self.is_zero():
-            return TensorTrain.zero(self.space, self.level)
-        cores, _ = self._sweep(tol / np.sqrt(self.level), caps)
+        modes = [g.shape[1] for g in self.cores]
+        cores, _ = _sweep(self.cores, modes, tol / np.sqrt(self.level), caps)
         return TensorTrain(self.space, cores)
 
     def rank_profile(self, tol: float = 1e-10) -> RankProfile:
         """Numerical ranks of the prefix unfoldings, read off the spectra of
-        one untruncated canonical sweep; never builds the full tensor."""
-        return _rank_profile(tol, lambda floor: self._sweep(
-            0.0, [None] * self.level, floor)[1])
+        one untruncated `_sweep`; never builds the full tensor."""
+        return _rank_profile(self.cores, [g.shape[1] for g in self.cores], tol)
 
     def coarsen(self) -> "TensorTrain":
         """The same function at its minimal level (at least 1): on the
@@ -236,7 +197,7 @@ class TensorTrain:
             fh.write(self.cores[-1][:, :, 0].astype("<f8").tobytes())
 
     @classmethod
-    def load(cls, path, space: PolySpace | None = None) -> "TensorTrain":
+    def load(cls, path) -> "TensorTrain":
         """Read a QTTT file; a malformed file raises ValueError."""
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -249,15 +210,11 @@ class TensorTrain:
             raise ValueError("ranks must be >= 1")
         sizes = [b * r_prev * r for r_prev, r in zip(ranks, ranks[1:])]
         data = _payload(raw, pos, sum(sizes) + ranks[-1] * (m + 1))
-        if space is None:
-            space = PolySpace(m, b)
-        elif space.base != b or space.degree != m:
-            raise ValueError("file parameters do not match the given space")
         chunks = np.split(data, np.cumsum(sizes))
         cores = [np.transpose(g.reshape(b, r_prev, r), (1, 0, 2))
                  for g, r_prev, r in zip(chunks, ranks, ranks[1:])]
         cores.append(chunks[-1].reshape(ranks[-1], m + 1, 1))
-        return cls(space, cores)
+        return cls(PolySpace(m, b), cores)
 
     def ranks_to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -268,7 +225,8 @@ class TensorTrain:
 
 def tt_svd(tf: TensorizedFunction, tol: float = 0.0,
            rank_caps=None) -> TensorTrain:
-    """Left-to-right SVD sweep over the full coefficient tensor.
+    """Left-to-right SVD steps over the full coefficient tensor: the
+    `_sweep` of the one-core chain [tf.coeffs].
 
     The represented tensor differs from tf by at most tol * ||tf||_2 in
     the (scaled-Frobenius = L2) norm; tol=0 with no caps is exact up to
@@ -277,10 +235,8 @@ def tt_svd(tf: TensorizedFunction, tol: float = 0.0,
     caps = _rank_caps(tol, rank_caps, tf.level)
     if tf.level < 1:
         raise ValueError("tensor trains need level >= 1")
-    norm = np.linalg.norm(tf.coeffs)
-    if norm == 0.0:
-        return TensorTrain.zero(tf.space, tf.level)
-    cores, _ = _svd_sweep(tf.coeffs, tol * norm / np.sqrt(tf.level), caps)
+    cores, _ = _sweep([tf.coeffs], tf.coeffs.shape, tol / np.sqrt(tf.level),
+                      caps)
     return TensorTrain(tf.space, cores)
 
 
@@ -327,8 +283,14 @@ class CPRep:
 
 
 def cp_to_tt(cp: CPRep) -> TensorTrain:
-    """Embed a CP representation as a train with diagonal middle cores."""
+    """Embed a CP representation as a train with diagonal middle cores,
+    which are dense: more than DEFAULT_BUDGET core elements in all raise
+    BudgetError before any is allocated."""
     r = cp.rank
+    size = r * (cp.base + cp.space.dim) + (cp.level - 1) * r * cp.base * r
+    if size > DEFAULT_BUDGET:
+        raise BudgetError(f"{size} train elements exceed budget "
+                          f"{DEFAULT_BUDGET}")
     cores = [cp.factors[0][None, :, :]]
     for w in cp.factors[1:-1]:
         g = np.zeros((r, w.shape[0], r))

@@ -241,3 +241,9 @@ def test_extend_command(tmp_path, capsys):
     assert all(r <= 2 for r in tt.ranks[2:])
     assert run("extend", "--func", "poly:0,1", "--d", "4", "--d-new", "2",
                "--m", "1") == 2
+    # values near 1e200 keep the unscaled ranks and a loadable file
+    capsys.readouterr()
+    assert run("extend", "--func", "poly:0,1e200,1e200", "--d", "4",
+               "--d-new", "6", "--out", str(out)) == 0
+    assert "ranks=2,3,3,3,3,3" in capsys.readouterr().out.splitlines()
+    assert TensorTrain.load(out).ranks == (2, 3, 3, 3, 3, 3)

@@ -9,7 +9,7 @@ import pytest
 from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
                    corpus_functions, cp_from_tensorized)
 from ttfun.cli import parse_function_spec
-from ttfun.tensorized import _svd_sweep
+from ttfun.tensorized import _sweep
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -317,7 +317,8 @@ def unfolding_ranks(tf, tol):
 @pytest.mark.parametrize("b", [2, 3])
 def test_rank_profile_matches_unfolding_svds(b):
     """The full tensor's profile and the profile of its train, built with
-    a sweep floor of 1e-3 * tol, against one SVD per unfolding."""
+    a sweep floor of 1e-3 * tol, against one SVD per unfolding; scaling
+    the tensor far outside sqrt(float range) leaves them unchanged."""
     for m in (0, 1, 3):
         space = PolySpace(m, b)
         cases = [TensorizedFunction(space, 0, np.arange(1.0, m + 2.0)),
@@ -328,12 +329,14 @@ def test_rank_profile_matches_unfolding_svds(b):
         for tf in cases:
             for tol in (1e-10, 1e-6, 1e-13):
                 want = unfolding_ranks(tf, tol)
-                assert tf.rank_profile(tol).ranks == want
-                if tf.level:
-                    cores, _ = _svd_sweep(tf.coeffs, 0.0, [None] * tf.level,
-                                          rel_floor=1e-3 * tol)
-                    tt = TensorTrain(space, cores)
-                    assert tt.rank_profile(tol).ranks == want
+                scaled = (1e-200 * tf, 1e300 * tf) if tol == 1e-6 else ()
+                for g in (tf,) + scaled:
+                    assert g.rank_profile(tol).ranks == want
+                    if g.level:
+                        cores, _ = _sweep([g.coeffs], g.coeffs.shape, 0.0,
+                                          [None] * g.level, 1e-3 * tol)
+                        tt = TensorTrain(space, cores)
+                        assert tt.rank_profile(tol).ranks == want
         assert TensorTrain.zero(space, 4).rank_profile().ranks == (0,) * 4
 
 

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ttfun import (CPRep, PolySpace, TensorTrain, TensorizedFunction,
-                   complexity, corpus_functions, cost_cp, cost_dense,
-                   cost_rmax, cost_sparse, cost_sum_ranks, cp_from_tensorized,
-                   cp_to_tt, maxrank_growth, maxrank_pair, tt_svd)
+from ttfun import (BudgetError, CPRep, PolySpace, TensorTrain,
+                   TensorizedFunction, complexity, corpus_functions, cost_cp,
+                   cost_dense, cost_rmax, cost_sparse, cost_sum_ranks,
+                   cp_from_tensorized, cp_to_tt, maxrank_growth, maxrank_pair,
+                   tt_svd)
 from ttfun.approx import random_cp, random_train
 
 
@@ -221,11 +222,25 @@ def test_round_keeps_minimal_ranks(space):
 
 
 def test_round_scaled_sum(space, rng):
+    """A rounded sum, and TT-SVD and rounding of inputs scaled far outside
+    sqrt(float range): the unscaled ranks and the scaled values."""
     a = random_train(space, 4, rng)
     doubled = (a + a).round(1e-12)
     assert doubled.ranks == a.ranks
     xs = rng.uniform(0.0, 1.0, size=50)
     assert np.max(np.abs(doubled(xs) - 2.0 * a(xs))) < 1e-9
+    tf = tensorize(np.sqrt, space, 10)
+    for tol in (0.0, 1e-3, 1e-6):
+        runs = (lambda c: tt_svd(c * tf, tol),
+                lambda c: (c * tt_svd(tf, 0.0)).round(tol))
+        for run in runs:
+            ref = run(1.0)
+            want = ref(xs)
+            for c in (1e-200, 1e200, 1e300):
+                tt = run(c)
+                assert tt.ranks == ref.ranks
+                assert np.max(np.abs(tt(xs) - c * want)) \
+                    <= 1e-12 * c * np.max(np.abs(want))
 
 
 def test_round_never_increases_ranks(space, rng):
@@ -470,6 +485,26 @@ def test_cp_cost_inequality(space, rng):
         assert cost_sparse(tt.cores) <= cost_cp(cp)
         xs = rng.uniform(0.0, 1.0, size=16)
         assert np.max(np.abs(tt(xs) - cp(xs))) < 1e-11
+
+
+def test_cp_to_tt_budget(space, rng):
+    """The dense diagonal cores of cp_to_tt raise BudgetError past
+    DEFAULT_BUDGET elements before any is allocated: a rank-4096 CP (two
+    middle cores of 33.6M elements each), and the level-minimizing report
+    of a cell-wise CP at d=11 (rank 2048, 84M elements)."""
+    import tracemalloc
+    cp = random_cp(space, 3, 4096, rng)
+    cellwise = cp_from_tensorized(tensorize(np.sqrt, space, 11))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            cp_to_tt(cp)
+        with pytest.raises(BudgetError):
+            complexity(cellwise, minimize_level=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_cp_validation(space):
