@@ -157,13 +157,15 @@ def _sweep(chain, modes, delta: float, caps, rel_floor: float = 1e-12):
     at 1e300).  A zero tensor gets all-zero cores."""
     # rest holds the right-orthonormal chain[1:] in pop order, so that
     # each is freed once contracted
-    core, rest, scales = chain[-1], [], []
+    core, rest = chain[-1], []
+    mant, expo = 1.0, 0  # the product of the scales, mant * 2**expo
     for left in chain[-2::-1]:
         q, rr = np.linalg.qr(core.reshape(core.shape[0], -1).T)
         peak = np.max(np.abs(rr))
         if peak > 0.0:
             rr = rr / peak
-            scales.append(peak)
+            mant, e = np.frexp(mant * peak)
+            expo += int(e)
         rest.append(q.T)
         core = np.tensordot(left, rr.T, axes=(-1, 0))
     cores, spectra, norm = [], [], None
@@ -179,11 +181,8 @@ def _sweep(chain, modes, delta: float, caps, rel_floor: float = 1e-12):
     cores.append(carry.reshape(-1, modes[-1], 1))
     if norm == 0.0:
         return [g * 0.0 for g in cores], spectra
-    mant, expo = 1.0, 0  # the product of the scales, mant * 2**expo
-    for x in scales + [norm or 1.0]:
-        mant, e = np.frexp(mant * x)
-        expo += int(e)
-    share, rem = divmod(expo, len(cores))
+    mant, e = np.frexp(mant * (norm or 1.0))
+    share, rem = divmod(expo + int(e), len(cores))
     cores[0] = cores[0] * mant
     return ([np.ldexp(g, share + (k < rem)) for k, g in enumerate(cores)],
             spectra)
