@@ -175,7 +175,7 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
 # verification corpus
 
 
-def corpus_functions(b: int = 2):
+def corpus_functions():
     """Named test functions spanning smooth, singular and piecewise cases."""
     funcs = [
         ("const", lambda x: np.ones_like(np.asarray(x, dtype=float))),
@@ -253,7 +253,7 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
 
         # tensorized corpus at a spread of levels
         tfs = []
-        for name, f in corpus_functions(b):
+        for name, f in corpus_functions():
             for d in (2, min(4, d_max), d_max):
                 tfs.append((f"{name}@d{d}", TensorizedFunction.tensorize(
                     f, space, d)))

@@ -130,20 +130,6 @@ class PolySpace:
         """L2-orthogonal projection of a callable on [0,1) onto the space."""
         return self.project_pieces(g, self.nodes)
 
-    def eval(self, coeffs, y):
-        """Evaluate sum_k c_k L_k at y in [0,1) (scalar or array)."""
-        arr = np.asarray(y, dtype=float)
-        if not np.all((arr >= 0.0) & (arr < 1.0)):
-            raise ValueError("evaluation point outside [0, 1)")
-        vals = legendre_values(self.degree, arr)
-        return np.tensordot(np.asarray(coeffs, dtype=float), vals, axes=(0, 0))
-
-    def dilate(self, coeffs, digit: int) -> np.ndarray:
-        """Coefficients of y -> g((y + digit)/base)."""
-        if not 0 <= digit < self.base:
-            raise ValueError(f"digit {digit} out of range for base {self.base}")
-        return self.dilation_matrices[digit] @ np.asarray(coeffs, dtype=float)
-
     def differentiate(self, coeffs, order: int = 1) -> np.ndarray:
         """Coefficients of the order-th derivative of rows (..., m+1): the
         strictly upper triangular D makes D^order exactly 0 past the degree."""
@@ -151,15 +137,6 @@ class PolySpace:
             raise ValueError(f"order must be >= 0, got {order}")
         return (np.asarray(coeffs, dtype=float)
                 @ np.linalg.matrix_power(self.diff_matrix, order).T)
-
-    def gram_matrix(self) -> np.ndarray:
-        """Quadrature Gram matrix of the basis (identity up to roundoff)."""
-        return self._proj @ self.basis_at_nodes.T
-
-    def monomial_coeffs(self) -> np.ndarray:
-        """Columns express y^k in the orthonormal basis, k = 0..degree."""
-        return np.column_stack([self.project(lambda y, q=q: y**q)
-                                for q in range(self.dim)])
 
     def max_abs(self, coeffs):
         """Max of |p| on [0, 1] over the endpoints and the critical points:

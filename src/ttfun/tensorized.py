@@ -8,7 +8,6 @@ coefficient of the piece f(b^-d (j + .)) with j = sum_k j_k b^(d-k).
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -118,35 +117,35 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
     return out
 
 
-def _svd_step(mat: np.ndarray, norm, delta: float, cap, rel_floor: float):
+def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     """One truncated SVD step of `_sweep`, in a function of its own so that
     the full SVD factors die on return.  s is the spectrum of `mat` over the
     tensor's norm: the first step (norm None) reads the norm off its own
     spectrum as s[0] ||s / s[0]||, free of overflow (0 for a zero tensor),
     and divides by it; later steps get a carry divided already.  The kept
     rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
-    rel_floor * s[0], honors an optional cap and is at least 1.  Returns
-    u[:, :r], the carry s[:r] vt[:r] into the next core, s and the norm."""
+    rel_floor * s[0] and is at least 1.  Returns u[:, :r], the carry
+    s[:r] vt[:r] into the next core, s and the norm."""
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     if norm is None:
         norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0.0 else 0.0
         s = s / (norm or 1.0)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
-    r = min(int(np.searchsorted(-tail, -delta)) if delta > 0 else s.size,
-            int(np.count_nonzero(s > rel_floor * s[0])))
-    r = max(r if cap is None else min(r, cap), 1)
+    r = max(min(int(np.searchsorted(-tail, -delta)) if delta > 0 else s.size,
+                int(np.count_nonzero(s > rel_floor * s[0]))), 1)
     return u[:, :r], s[:r, None] * vt[:r], s, norm
 
 
-def _sweep(chain, modes, delta: float, caps, rel_floor: float = 1e-12):
+def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     """The one canonical sweep (Oseledets 2011, section 3) of a tensor with
     mode sizes `modes`, held by a chain of cores: a full tensor is the
     chain [coeffs], a train its cores, one per mode.  A right-to-left QR
-    pass leaves chain[1:] right-orthonormal.  Then one SVD step per cap runs
-    left to right, truncated at delta times the tensor's norm, and
-    contracts its carry into the next chain core when there is one: without
-    truncation step nu sees the spectrum of prefix unfolding nu.  Returns
-    the len(modes) cores of a train and each step's spectrum over the norm.
+    pass leaves chain[1:] right-orthonormal.  Then one SVD step per digit
+    mode runs left to right, truncated at tol/sqrt(d) times the tensor's
+    norm so that the d steps together stay within tol, and contracts its
+    carry into the next chain core when there is one: without truncation
+    step nu sees the spectrum of prefix unfolding nu.  Returns the
+    len(modes) cores of a train and each step's spectrum over the norm.
 
     Scale is handled here only: the QR factors are divided by their
     max-abs and the first step divides by the norm.  The product of these
@@ -155,6 +154,9 @@ def _sweep(chain, modes, delta: float, caps, rel_floor: float = 1e-12):
     is spread evenly over the cores and the mantissa multiplies the first
     (an exp of the summed logs would cost |log scale| ulps, 1e-13 relative
     at 1e300).  A zero tensor gets all-zero cores."""
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    delta = tol / np.sqrt(max(len(modes) - 1, 1))
     # rest holds the right-orthonormal chain[1:] in pop order, so that
     # each is freed once contracted
     core, rest = chain[-1], []
@@ -170,11 +172,10 @@ def _sweep(chain, modes, delta: float, caps, rel_floor: float = 1e-12):
         core = np.tensordot(left, rr.T, axes=(-1, 0))
     cores, spectra, norm = [], [], None
     carry = core.reshape(1, -1)
-    for nu, cap in enumerate(caps):
-        u, carry, s, norm = _svd_step(
-            carry.reshape(carry.shape[0] * modes[nu], -1), norm, delta, cap,
-            rel_floor)
-        cores.append(u.reshape(-1, modes[nu], u.shape[1]))
+    for n in modes[:-1]:
+        u, carry, s, norm = _svd_step(carry.reshape(carry.shape[0] * n, -1),
+                                      norm, delta, rel_floor)
+        cores.append(u.reshape(-1, n, u.shape[1]))
         spectra.append(s)
         if rest:
             carry = carry @ rest.pop()
@@ -195,23 +196,35 @@ def _rank_profile(chain, modes, tol: float) -> RankProfile:
     by far less than tol * s[0]."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0,1), got {tol}")
-    _, spectra = _sweep(chain, modes, 0.0, [None] * (len(modes) - 1),
-                        1e-3 * tol)
+    _, spectra = _sweep(chain, modes, 0.0, 1e-3 * tol)
     return RankProfile(len(spectra), tuple(
         int(np.count_nonzero(s > tol * s[0])) for s in spectra), tol)
 
 
-def _coarser(space: PolySpace, rows: np.ndarray, scale):
+def _coarser(space: PolySpace, rows: np.ndarray):
     """One digit less: the coarse rows c (n, m+1) whose dilation families
     D_0 c, ..., D_(b-1) c are the sibling rows (n, b(m+1)), or None when the
-    least-squares residual of some row exceeds 1e-9 * scale (one scale per
-    row, or one for all)."""
+    Frobenius norm of the whole least-squares residual exceeds 1e-9 times
+    that of the rows.  Rows in any left-orthonormal basis give the same
+    answer, so a train's last two cores decide as its full tensor does.
+    The rows are solved at max |c| = 1, so no norm leaves the float range,
+    and the coarse rows are scaled back on return."""
+    peak = float(np.max(np.abs(rows), initial=0.0))
+    unit = rows / peak if peak > 0.0 else rows
     stacked = space.dilation_matrices.reshape(-1, space.dim)
-    sol, *_ = np.linalg.lstsq(stacked, rows.T, rcond=None)
-    resid = np.linalg.norm(stacked @ sol - rows.T, axis=0)
-    if np.any(resid > 1e-9 * np.maximum(scale, 1e-300)):
+    sol, *_ = np.linalg.lstsq(stacked, unit.T, rcond=None)
+    if np.linalg.norm(stacked @ sol - unit.T) > 1e-9 * np.linalg.norm(unit):
         return None
-    return sol.T
+    return sol.T * peak
+
+
+def _check_budget(space: PolySpace, level: int, budget: int) -> None:
+    """Raise BudgetError when a level-d full tensor, b^d (m+1) elements,
+    exceeds the budget."""
+    size = space.base**level * space.dim
+    if size > budget:
+        raise BudgetError(f"level {level} full tensor has {size} elements, "
+                          f"over budget {budget}")
 
 
 def _next_digit(space: PolySpace, c: np.ndarray) -> np.ndarray:
@@ -262,10 +275,9 @@ class TensorizedFunction:
         per call of f: memory beyond the output is O(_BLOCK Q)."""
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
+        _check_budget(space, level, budget)
         b, dim = space.base, space.dim
         ncell = b**level
-        if ncell * dim > budget:
-            raise BudgetError(f"{ncell * dim} elements exceed budget {budget}")
         h = float(b) ** (-level)
         flat = np.empty((ncell, dim))
         for s in range(0, ncell, _BLOCK):
@@ -325,9 +337,7 @@ class TensorizedFunction:
         """Pointwise-identical representation on the finer level-d̄ grid."""
         if new_level < self.level:
             raise ValueError("relevel_up cannot decrease the level")
-        if self.base ** new_level * self.space.dim > budget:
-            raise BudgetError(
-                f"level {new_level} full tensor exceeds budget {budget}")
+        _check_budget(self.space, new_level, budget)
         c = self.coeffs
         for _ in range(new_level - self.level):
             c = _next_digit(self.space, c)
@@ -335,13 +345,12 @@ class TensorizedFunction:
 
     def minimal_level(self) -> int:
         """Smallest level holding the same function: a digit is peeled off
-        while every group of b sibling cells is the dilation family of one
-        coarse polynomial, up to a least-squares residual of 1e-9 times the
-        group's own norm."""
+        while `_coarser` finds every group of b sibling cells to be the
+        dilation family of one coarse polynomial."""
         level, rows = self.level, self.cell_coeffs
         while level > 0:
-            rows = rows.reshape(-1, self.base * self.space.dim)
-            rows = _coarser(self.space, rows, np.linalg.norm(rows, axis=1))
+            rows = _coarser(self.space,
+                            rows.reshape(-1, self.base * self.space.dim))
             if rows is None:
                 break
             level -= 1
@@ -396,12 +405,3 @@ class TensorizedFunction:
             raise ValueError(f"level {d} is too deep for a full tensor")
         data = _payload(raw, pos, b**d * (m + 1))
         return cls(PolySpace(m, b), d, data.reshape((b,) * d + (m + 1,)))
-
-    def to_csv(self, path) -> None:
-        """Rows (j, k, value) with j the cell index and k the basis index."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "k", "value"])
-            writer.writerows([j, k, v]
-                             for j, row in enumerate(self.cell_coeffs.tolist())
-                             for k, v in enumerate(row))

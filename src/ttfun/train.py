@@ -16,20 +16,11 @@ import numpy as np
 
 from .localspace import PolySpace
 from .tensorized import (DEFAULT_BUDGET, BudgetError, RankProfile,
-                         TensorizedFunction, _coarser, _evaluate, _next_digit,
-                         _payload, _rank_profile, _sweep, _unpack)
+                         TensorizedFunction, _check_budget, _coarser,
+                         _evaluate, _next_digit, _payload, _rank_profile,
+                         _sweep, _unpack)
 
 _MAGIC_TT = b"QTTT"
-
-
-def _rank_caps(tol: float, rank_caps, d: int) -> list:
-    """Checks tol; returns one rank cap (None: no cap) per digit mode."""
-    if not tol >= 0:  # also rejects NaN
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    caps = list(rank_caps) if rank_caps is not None else [None] * d
-    if len(caps) != d:
-        raise ValueError(f"need {d} rank caps, got {len(caps)}")
-    return caps
 
 
 class TensorTrain:
@@ -64,13 +55,6 @@ class TensorTrain:
     def ranks(self) -> tuple[int, ...]:
         return tuple(g.shape[2] for g in self.cores[:-1])
 
-    @classmethod
-    def zero(cls, space: PolySpace, level: int) -> "TensorTrain":
-        """The zero function as an all-zero train with unit ranks."""
-        cores = [np.zeros((1, space.base, 1)) for _ in range(level)]
-        cores.append(np.zeros((1, space.dim, 1)))
-        return cls(space, cores)
-
     def is_zero(self) -> bool:
         return all(not g.any() for g in self.cores)
 
@@ -78,9 +62,7 @@ class TensorTrain:
 
     def to_full(self, budget: int = DEFAULT_BUDGET) -> TensorizedFunction:
         """Contract all cores into the full coefficient tensor."""
-        if self.base**self.level * self.space.dim > budget:
-            raise BudgetError(
-                f"level {self.level} full tensor exceeds budget {budget}")
+        _check_budget(self.space, self.level, budget)
         out = self.cores[0][0]  # (b, r1)
         for g in self.cores[1:]:
             out = np.tensordot(out, g, axes=(-1, 0))
@@ -132,16 +114,13 @@ class TensorTrain:
     def __neg__(self):
         return self * -1.0
 
-    def round(self, tol: float, rank_caps=None) -> "TensorTrain":
+    def round(self, tol: float) -> "TensorTrain":
         """Recompress by one canonical `_sweep` of the cores.
 
         The L2 error is at most tol * ||self||_2; output ranks never exceed
-        input ranks.  The per-step budget is tol/sqrt(d) so the accumulated
-        Frobenius error stays below tol.
+        input ranks.
         """
-        caps = _rank_caps(tol, rank_caps, self.level)
-        modes = [g.shape[1] for g in self.cores]
-        cores, _ = _sweep(self.cores, modes, tol / np.sqrt(self.level), caps)
+        cores, _ = _sweep(self.cores, [g.shape[1] for g in self.cores], tol)
         return TensorTrain(self.space, cores)
 
     def rank_profile(self, tol: float = 1e-10) -> RankProfile:
@@ -151,15 +130,14 @@ class TensorTrain:
 
     def coarsen(self) -> "TensorTrain":
         """The same function at its minimal level (at least 1): on the
-        left-orthonormal cores of round(0.0), which keep the full tensor's
-        residual norms, the last digit core is merged into the coefficient
-        core while `_coarser` passes at the norm of all their rows.  A last
-        round(0.0) trims the merged bond."""
+        left-orthonormal cores of round(0.0), the last digit core is merged
+        into the coefficient core while `_coarser` passes on their rows,
+        which it judges as it judges the full tensor's.  A last round(0.0)
+        trims the merged bond."""
         cores = self.round(0.0).cores
         while len(cores) > 2:
             rows = np.tensordot(cores[-2], cores[-1][:, :, 0], axes=(2, 0))
-            rows = rows.reshape(rows.shape[0], -1)
-            coarse = _coarser(self.space, rows, np.linalg.norm(rows))
+            coarse = _coarser(self.space, rows.reshape(rows.shape[0], -1))
             if coarse is None:
                 break
             cores = cores[:-2] + [coarse[:, :, None]]
@@ -216,27 +194,18 @@ class TensorTrain:
         cores.append(chunks[-1].reshape(ranks[-1], m + 1, 1))
         return cls(PolySpace(m, b), cores)
 
-    def ranks_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("nu,r_nu\n")
-            for nu, r in enumerate(self.ranks, start=1):
-                fh.write(f"{nu},{r}\n")
 
-
-def tt_svd(tf: TensorizedFunction, tol: float = 0.0,
-           rank_caps=None) -> TensorTrain:
+def tt_svd(tf: TensorizedFunction, tol: float = 0.0) -> TensorTrain:
     """Left-to-right SVD steps over the full coefficient tensor: the
     `_sweep` of the one-core chain [tf.coeffs].
 
     The represented tensor differs from tf by at most tol * ||tf||_2 in
-    the (scaled-Frobenius = L2) norm; tol=0 with no caps is exact up to
-    roundoff and yields the numerical prefix ranks.
+    the (scaled-Frobenius = L2) norm; tol=0 is exact up to roundoff and
+    yields the numerical prefix ranks.
     """
-    caps = _rank_caps(tol, rank_caps, tf.level)
     if tf.level < 1:
         raise ValueError("tensor trains need level >= 1")
-    cores, _ = _sweep([tf.coeffs], tf.coeffs.shape, tol / np.sqrt(tf.level),
-                      caps)
+    cores, _ = _sweep([tf.coeffs], tf.coeffs.shape, tol)
     return TensorTrain(tf.space, cores)
 
 
@@ -349,26 +318,16 @@ def cost_dense(ranks, b: int, dim: int) -> int:
     return b * ranks[0] + b * inner + ranks[-1] * dim
 
 
-def cost_sparse(cores, eta: float = 0.0) -> int:
-    """Nonzero core entries; eta > 0 counts |v| > eta * max|core|."""
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    total = 0
-    for g in cores:
-        if eta == 0.0:
-            total += int(np.count_nonzero(g))
-        else:
-            peak = np.max(np.abs(g))
-            total += int(np.count_nonzero(np.abs(g) > eta * peak))
-    return total
+def cost_sparse(cores) -> int:
+    """Nonzero core entries."""
+    return sum(int(np.count_nonzero(g)) for g in cores)
 
 
 def cost_cp(cp: CPRep) -> int:
     return cp.base * cp.level * cp.rank + cp.rank * cp.space.dim
 
 
-def complexity(rep, eta: float = 0.0,
-               minimize_level: bool = False) -> ComplexityReport:
+def complexity(rep, minimize_level: bool = False) -> ComplexityReport:
     """Complexity report for a train or CP representation.
 
     With minimize_level=True the train is first brought to its minimal
@@ -383,7 +342,7 @@ def complexity(rep, eta: float = 0.0,
         tt = tt.coarsen()
     if isinstance(tt, CPRep):
         # cp_to_tt(tt) has ranks (rank,)*level, and its diagonal cores hold
-        # exactly the nonzero entries and the peak of each factor
+        # exactly the nonzero entries of the factors
         ranks, cores = (tt.rank,) * tt.level, tt.factors
     else:
         ranks, cores = tt.ranks, tt.cores
@@ -393,7 +352,7 @@ def complexity(rep, eta: float = 0.0,
         rmax=cost_rmax(ranks, b, tt.level, dim),
         sum_ranks=cost_sum_ranks(ranks),
         dense=cost_dense(ranks, b, dim),
-        sparse=cost_sparse(cores, eta=eta),
+        sparse=cost_sparse(cores),
         level=tt.level,
         cp=cp,
         level_is_minimal=True if minimize_level else None,

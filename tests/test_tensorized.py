@@ -1,13 +1,12 @@
 """Full coefficient tensors: construction, norms, ranks, level changes."""
 
-import csv
 import warnings
 
 import numpy as np
 import pytest
 
 from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
-                   corpus_functions, cp_from_tensorized)
+                   corpus_functions, cp_from_tensorized, tt_svd)
 from ttfun.cli import parse_function_spec
 from ttfun.tensorized import _sweep
 
@@ -323,7 +322,7 @@ def test_rank_profile_matches_unfolding_svds(b):
         space = PolySpace(m, b)
         cases = [TensorizedFunction(space, 0, np.arange(1.0, m + 2.0)),
                  TensorizedFunction(space, 4, np.zeros((b,) * 4 + (m + 1,)))]
-        for _, f in corpus_functions(b):
+        for _, f in corpus_functions():
             cases += [TensorizedFunction.tensorize(f, space, d)
                       for d in (2, 4, 6, 8)]
         for tf in cases:
@@ -334,10 +333,12 @@ def test_rank_profile_matches_unfolding_svds(b):
                     assert g.rank_profile(tol).ranks == want
                     if g.level:
                         cores, _ = _sweep([g.coeffs], g.coeffs.shape, 0.0,
-                                          [None] * g.level, 1e-3 * tol)
+                                          1e-3 * tol)
                         tt = TensorTrain(space, cores)
                         assert tt.rank_profile(tol).ranks == want
-        assert TensorTrain.zero(space, 4).rank_profile().ranks == (0,) * 4
+        zero = TensorTrain(space, [np.zeros((1, b, 1))] * 4
+                           + [np.zeros((1, m + 1, 1))])
+        assert zero.rank_profile().ranks == (0,) * 4
 
 
 def test_rank_profile_matches_unfolding_svds_deep(space):
@@ -426,6 +427,8 @@ def test_relevel_budget(space):
     tf = TensorizedFunction.tensorize(lambda x: np.asarray(x), space, 2)
     with pytest.raises(BudgetError):
         tf.relevel_up(20, budget=1000)
+    with pytest.raises(BudgetError):
+        tt_svd(tf).extend_level(20).to_full(budget=1000)
     with pytest.raises(ValueError):
         tf.relevel_up(1)
 
@@ -455,21 +458,39 @@ def test_canonical_rank_ceiling(space):
     assert np.max(np.abs(cp(xs) - tf(xs))) < 1e-12
 
 
+def both_levels(tf):
+    """The minimal level of the full tensor and the level of its coarsened
+    train, which is at least 1."""
+    return tf.minimal_level(), tt_svd(tf, 0.0).coarsen().level
+
+
 def test_minimal_level_polynomial(space):
     tf = TensorizedFunction.tensorize(lambda x: np.asarray(x) ** 2, space, 4)
     assert tf.minimal_level() == 0
+    zero = TensorizedFunction(space, 4, np.zeros((2,) * 4 + (space.dim,)))
+    assert both_levels(zero) == (0, 1)
 
 
 def test_minimal_level_step(space):
     tf = TensorizedFunction.tensorize(
         lambda x: (np.asarray(x) < 0.5).astype(float), space, 3)
     assert tf.minimal_level() == 1
+    # x^2 on [1/2, 1) next to a part 1e-11 below it: one relative rule
+    # for both paths, so the tiny part does not count on its own
+    g = TensorizedFunction.tensorize(
+        lambda x: np.where(x < 0.5, 1e-11 * np.sqrt(x), x**2), space, 6)
+    assert both_levels(g) == (1, 1)
 
 
 def test_minimal_level_generic(space, rng):
     tf = TensorizedFunction(space, 3,
                             rng.standard_normal((2, 2, 2, space.dim)))
     assert tf.minimal_level() == 3
+    # cos(4 pi x) is no polynomial on any b = 3 cell, at any scale
+    cos4 = TensorizedFunction.tensorize(lambda x: np.cos(4 * np.pi * x),
+                                        PolySpace(3, 3), 6)
+    for c in (1e-300, 1e-200, 1.0, 1e200, 1e300):
+        assert both_levels(c * cos4) == (6, 6)
 
 
 def test_arithmetic(space):
@@ -499,16 +520,3 @@ def test_load_bad_magic(space, tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         TensorizedFunction.load(path)
-
-
-def test_to_csv(space, tmp_path):
-    tf = TensorizedFunction.tensorize(lambda x: np.asarray(x), space, 2)
-    path = tmp_path / "f.csv"
-    tf.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,k,value"
-    assert len(lines) == 1 + 4 * space.dim
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    for j, k, value in rows:
-        assert float(value) == tf.cell_coeffs[int(j), int(k)]
