@@ -43,6 +43,19 @@ def test_tt_svd_lossy(space, rng):
     assert all(rl <= re for rl, re in zip(lossy.ranks, exact.ranks))
 
 
+def test_tt_svd_rank_caps(space, rng):
+    """Exact ranks of a generic tensor reach the unfolding caps."""
+    d, b = 4, space.base
+    tf = TensorizedFunction(space, d, rng.standard_normal((b,) * d
+                                                          + (space.dim,)))
+    caps = tuple(min(b ** nu, b ** (d - nu) * space.dim)
+                 for nu in range(1, d + 1))
+    assert tt_svd(tf, 0.0).ranks == caps == (2, 4, 8, 4)
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            tt_svd(tf, bad)
+
+
 # -- to_full / eval --------------------------------------------------------
 
 
@@ -268,11 +281,7 @@ def test_round_idempotent(space, rng):
 
 
 def test_round_negative_tol(space, rng):
-    tf = TensorizedFunction(space, 4, rng.standard_normal((2,) * 4
-                                                          + (space.dim,)))
     for bad in (-1.0, -0.1, np.nan):
-        with pytest.raises(ValueError):
-            tt_svd(tf, bad)
         with pytest.raises(ValueError):
             random_train(space, 3, rng).round(bad)
 
