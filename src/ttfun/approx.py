@@ -16,7 +16,6 @@ from .train import (CPRep, TensorTrain, complexity, cost_cp, cost_sparse,
 _MEASURE_FIELDS = {"N": "sum_ranks", "C": "dense", "S": "sparse",
                    "rmax": "rmax"}
 MEASURES = tuple(_MEASURE_FIELDS)
-FAULTS = ("rounding-split",)
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,15 @@ class ClassSeminormEstimate:
 
 
 def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
-                budget: int = DEFAULT_BUDGET, ref_margin: int = 2
-                ) -> list[ErrorCurvePoint]:
+                budget: int = DEFAULT_BUDGET) -> list[ErrorCurvePoint]:
     """Candidate sweep over (level, tolerance) pairs.
 
     Each candidate is the level-d projection compressed at the given
     tolerance; errors are L^p distances to a reference projection two
     levels finer than the deepest candidate.  The emitted curve is the
     lower envelope over the complexity budget n, so it is nonincreasing.
+    Errors at or below the roundoff floor 32 eps d_ref ||ref||_p tie, so
+    the envelope ends at the smallest n that reaches the floor.
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -56,8 +56,9 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
     tol_grid = sorted(set(float(t) for t in tol_grid), reverse=True)
     if not d_grid or not tol_grid:
         raise ValueError("d_grid and tol_grid must be nonempty")
-    d_ref = max(d_grid) + ref_margin
+    d_ref = max(d_grid) + 2
     ref = TensorizedFunction.tensorize(f, space, d_ref, budget=budget)
+    floor = 32 * np.finfo(float).eps * d_ref * ref.lp_norm(p)
     raw = []
     for d in d_grid:
         tf = TensorizedFunction.tensorize(f, space, d, budget=budget)
@@ -72,7 +73,7 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
     points = []
     best = math.inf
     for n, err, d, ranks in raw:
-        if err < best:
+        if best > floor and err < best:
             best = err
             points.append(ErrorCurvePoint(n, measure, err, d, ranks, p))
     return points
@@ -226,18 +227,12 @@ def _entry(lemma, measured, limit, ok, worst=None):
 
 
 def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
-                 seed: int = 0, n_pairs: int = 40,
-                 fault: str | None = None) -> list[dict]:
+                 seed: int = 0, n_pairs: int = 40) -> list[dict]:
     """Run every property suite on the canonical corpus.
 
     Returns one report entry per checked statement; measured constants sit
-    next to their theoretical limits.  `fault` (one of FAULTS) is a test
-    hook: "rounding-split" rounds with tol * sqrt(d) in the
-    rounding-accuracy suite, undoing the per-step tolerance split, which
-    makes that suite fail by construction.
+    next to their theoretical limits.
     """
-    if fault is not None and fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}; choose from {FAULTS}")
     if d_max < 2:  # the pair and train suites draw levels from 2..d_max
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     if n_pairs < 1:
@@ -374,7 +369,7 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
         report.append(_entry(f"extension-rank-bound[{tag}]", ok_ext, True,
                              ok_ext))
 
-        # rounding accuracy (fault-injection target)
+        # rounding accuracy
         worst_round = 0.0
         for _ in range(10):
             t = random_train(space, d_max, rng, max_rank=4)
@@ -382,7 +377,7 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
             if norm == 0.0:
                 continue
             for tol in (0.5, 0.2):
-                rt = t.round(tol * np.sqrt(t.level) if fault else tol)
+                rt = t.round(tol)
                 err = (rt.to_full() - t.to_full()).lp_norm(2)
                 worst_round = max(worst_round, err / (tol * norm))
         report.append(_entry(f"rounding-accuracy[{tag}]", worst_round, 1.0,

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .approx import (FAULTS, MEASURES, density_sweep, error_curve,
-                     lemma_corpus, staircase_steps)
+from .approx import (MEASURES, density_sweep, error_curve, lemma_corpus,
+                     staircase_steps)
 from .localspace import PolySpace
 from .tensorized import DEFAULT_BUDGET, BudgetError, TensorizedFunction
 from .train import tt_svd
@@ -152,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-max", type=int, default=6)
     p.add_argument("--pairs", type=int, default=40)
-    p.add_argument("--inject-fault", choices=FAULTS, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("density", help="grid-snapping decay table")
@@ -217,8 +216,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = lemma_corpus(b=args.b, degrees=args.m, d_max=args.d_max,
-                          seed=args.seed, n_pairs=args.pairs,
-                          fault=args.inject_fault)
+                          seed=args.seed, n_pairs=args.pairs)
     _emit(json.dumps(report, indent=2, default=repr) + "\n", args.out)
     failures = [e["lemma"] for e in report if e["status"] != "pass"]
     if failures:

@@ -3,11 +3,13 @@
 The space P_m of polynomials of degree <= m carries the basis
 L_k(y) = sqrt(2k+1) P_k(2y-1), orthonormal for the L2 inner product on
 [0,1).  The space is closed under the maps y -> (y+i)/b, and the
-corresponding dilation matrices are precomputed per (base, degree), along
-with a differentiation matrix.
+corresponding dilation matrices are built per (base, degree) on first use,
+along with a differentiation matrix.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -71,30 +73,21 @@ class PolySpace:
     Immutable after construction; all operations are pure.
     """
 
-    def __init__(self, degree: int, base: int, quad_order: int = 32):
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
+    quad_order = 32  # the Gauss order of every projection
+
+    def __init__(self, degree: int, base: int):
+        if not 0 <= degree < self.quad_order:
+            raise ValueError(f"degree must be in [0, {self.quad_order}), "
+                             f"the Gauss order, got {degree}")
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
-        if quad_order <= degree:
-            raise ValueError("quadrature order must exceed the degree")
         self.degree = degree
         self.base = base
-        self.quad_order = quad_order
-        nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+        nodes, weights = np.polynomial.legendre.leggauss(self.quad_order)
         self.nodes = 0.5 * (nodes + 1.0)
         self.weights = 0.5 * weights
         self.basis_at_nodes = legendre_values(degree, self.nodes)  # (m+1, Q)
         self._proj = self.basis_at_nodes * self.weights  # rows integrate vs L_j
-
-        # D_i[j, k] = <L_k((. + i)/b), L_j>, so D_i c holds the coefficients
-        # of y -> g((y + i)/b) when c holds those of g.
-        dil = np.empty((base, degree + 1, degree + 1))
-        for i in range(base):
-            shifted = legendre_values(degree, (self.nodes + i) / base)
-            dil[i] = self._proj @ shifted.T
-        dil.setflags(write=False)
-        self.dilation_matrices = dil
 
         # L_k' = 2 sum_{j<k, k-j odd} sqrt((2j+1)(2k+1)) L_j, so the
         # matrix is strictly upper triangular: a derivative row ends in an
@@ -108,6 +101,18 @@ class PolySpace:
     @property
     def dim(self) -> int:
         return self.degree + 1
+
+    @cached_property
+    def dilation_matrices(self) -> np.ndarray:
+        """D_i[j, k] = <L_k((. + i)/b), L_j>, so D_i c holds the coefficients
+        of y -> g((y + i)/b) when c holds those of g.  Built on first use,
+        so a space of any base is cheap until a digit is applied."""
+        dil = np.empty((self.base, self.dim, self.dim))
+        for i in range(self.base):
+            shifted = legendre_values(self.degree, (self.nodes + i) / self.base)
+            dil[i] = self._proj @ shifted.T
+        dil.setflags(write=False)
+        return dil
 
     def project_pieces(self, f, x) -> np.ndarray:
         """L2 projections (..., m+1) of f on pieces from their quadrature

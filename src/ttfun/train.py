@@ -10,7 +10,7 @@ serialization boundary.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,7 +292,7 @@ def cp_from_tensorized(tf: TensorizedFunction) -> CPRep:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    """The four train complexity measures (plus the CP one when given)."""
+    """The four train complexity measures, at the train's own level."""
 
     max_rank: int
     rmax: int       # b*d*r_max^2 + r_max*(m+1)
@@ -300,8 +300,6 @@ class ComplexityReport:
     dense: int      # b*r_1 + b*sum r_{nu-1} r_nu + r_d*(m+1)
     sparse: int     # number of nonzero core entries
     level: int
-    cp: int | None = None
-    level_is_minimal: bool | None = field(default=None)
 
 
 def cost_rmax(ranks, b: int, d: int, dim: int) -> int:
@@ -327,35 +325,18 @@ def cost_cp(cp: CPRep) -> int:
     return cp.base * cp.level * cp.rank + cp.rank * cp.space.dim
 
 
-def complexity(rep, minimize_level: bool = False) -> ComplexityReport:
-    """Complexity report for a train or CP representation.
-
-    With minimize_level=True the train is first brought to its minimal
-    level by `TensorTrain.coarsen`, and level_is_minimal is True; otherwise
-    measures refer to the representation as given and level_is_minimal is
-    left unverified (None).  A CP is measured as the train cp_to_tt(cp),
-    read off its factors unless the level is minimized.
-    """
-    cp = cost_cp(rep) if isinstance(rep, CPRep) else None
-    tt = cp_to_tt(rep) if cp is not None and minimize_level else rep
-    if minimize_level:
-        tt = tt.coarsen()
-    if isinstance(tt, CPRep):
-        # cp_to_tt(tt) has ranks (rank,)*level, and its diagonal cores hold
-        # exactly the nonzero entries of the factors
-        ranks, cores = (tt.rank,) * tt.level, tt.factors
-    else:
-        ranks, cores = tt.ranks, tt.cores
-    b, dim = tt.base, tt.space.dim
+def complexity(tt: TensorTrain) -> ComplexityReport:
+    """Complexity report of a train as given: the measures of
+    `tt.coarsen()` are those at the minimal level, and a CP is measured by
+    `cost_cp` or as `cp_to_tt`."""
+    ranks, b, dim = tt.ranks, tt.base, tt.space.dim
     return ComplexityReport(
         max_rank=max(ranks),
         rmax=cost_rmax(ranks, b, tt.level, dim),
         sum_ranks=cost_sum_ranks(ranks),
         dense=cost_dense(ranks, b, dim),
-        sparse=cost_sparse(cores),
+        sparse=cost_sparse(tt.cores),
         level=tt.level,
-        cp=cp,
-        level_is_minimal=True if minimize_level else None,
     )
 
 

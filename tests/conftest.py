@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttfun import PolySpace
+from ttfun import PolySpace, TensorTrain
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,16 @@ def space_b3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def rounding_split(monkeypatch):
+    """A known fault: every round uses tol * sqrt(d) in place of tol, which
+    undoes its per-step tolerance split, so the corpus's rounding-accuracy
+    suite fails by construction."""
+    round_ = TensorTrain.round
+    monkeypatch.setattr(TensorTrain, "round", lambda self, tol: round_(
+        self, tol * np.sqrt(self.level)))
 
 
 ACCEPTANCE_LINES = []

@@ -12,12 +12,19 @@ from ttfun import (ClassSeminormEstimate, ErrorCurvePoint, PolySpace,
 
 
 def test_error_curve_exact_function(space):
-    """An exactly representable function reaches (near) zero error."""
+    """An exactly representable function reaches (near) zero error, and
+    errors at roundoff level tie: the envelope is the one row of the
+    smallest n, at any scale c and any p."""
     f = lambda x: np.asarray(x) ** 2
     curve = error_curve(f, space, 2.0, "N", [2, 3, 4], [0.0, 1e-4])
     errs = [pt.error for pt in curve]
     assert errs == sorted(errs, reverse=True)
     assert min(errs) <= 1e-10
+    for c in (1.0, 1e160, 1e-160):
+        for p in (1.0, 2.0, math.inf):
+            curve = error_curve(lambda x: c * np.asarray(x) ** 2, space, p,
+                                "C", [3, 5], [0.0, 1e-3])
+            assert [pt.level for pt in curve] == [3], (c, p)
 
 
 def test_error_curve_monotone_envelope(space):
@@ -32,7 +39,7 @@ def test_error_curve_monotone_envelope(space):
 def test_error_curve_indicator_level_error(space):
     """The misaligned indicator error is governed by the unresolved cell."""
     f = lambda x: (np.asarray(x) < 1.0 / 3.0).astype(float)
-    curve = error_curve(f, space, 2.0, "N", [3, 5], [0.0], ref_margin=6)
+    curve = error_curve(f, space, 2.0, "N", [3, 5], [0.0])
     by_level = {pt.level: pt.error for pt in curve}
     for d in (3, 5):
         theta = 1.0 / 3.0 - math.floor(2**d / 3) / 2**d
@@ -180,13 +187,7 @@ def test_lemma_corpus_rejects_shallow_d_max():
             lemma_corpus(b=2, degrees=(1,), d_max=4, n_pairs=n_pairs)
 
 
-def test_lemma_corpus_fault_injection():
-    report = lemma_corpus(b=2, degrees=(3,), d_max=6, n_pairs=6,
-                          fault="rounding-split")
+def test_lemma_corpus_fault_injection(rounding_split):
+    report = lemma_corpus(b=2, degrees=(3,), d_max=6, n_pairs=6)
     failing = [e["lemma"] for e in report if e["status"] != "pass"]
     assert failing == ["rounding-accuracy[b=2,m=3]"]
-
-
-def test_lemma_corpus_rejects_unknown_fault():
-    with pytest.raises(ValueError, match="unknown fault"):
-        lemma_corpus(b=2, degrees=(1,), d_max=4, n_pairs=2, fault="bogus")

@@ -109,6 +109,8 @@ def test_usage_errors_exit_2():
         assert run(*argv, "--func", "poly:1") == 0
         assert run(*argv, "--func", "poly:1", "--seed", "1") == 2
     assert run("verify", "--m", "0", "--d-max", "2", "--pairs", "1",
+               "--inject-fault", "rounding-split") == 2
+    assert run("verify", "--m", "0", "--d-max", "2", "--pairs", "1",
                "--seed", "3") == 0
     for opt in ("--seed", "--m", "--budget"):
         assert run("density", "--func", "indicator:0,1/3,1:1,0",
@@ -116,7 +118,7 @@ def test_usage_errors_exit_2():
 
 
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
-    """Non-finite values, non-integer lists, unknown faults, staircases
+    """Non-finite values, non-integer lists, staircases
     that are not one, malformed specs and values the library rejects: exit 2
     and one `error:` line, never a traceback or a numpy warning."""
     nan_rows = tmp_path / "nan.csv"
@@ -129,8 +131,6 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         ("ranks", "--func", "indicator:0.2,0.5,1:1,0", "--d", "2"),
         ("verify", "--m", "1.5", "--d-max", "2", "--pairs", "1"),
         ("sweep", "--func", "sqrt", "--d-grid", "2.7", "--tol-grid", "0"),
-        ("verify", "--m", "0", "--d-max", "2", "--pairs", "1",
-         "--inject-fault", "bogus"),
         ("tensorize", "--func", "poly:", "--d", "2"),
         ("tensorize", "--func", "poly:1,,2", "--d", "2"),
         ("tensorize", "--func", "sqrt:5", "--d", "2"),
@@ -210,9 +210,8 @@ def test_verify_pass_and_json(tmp_path):
     assert all(e["status"] == "pass" for e in report)
 
 
-def test_verify_fault_injection_fails(capsys):
-    code = run("verify", "--m", "1", "--d-max", "4", "--pairs", "4",
-               "--inject-fault", "rounding-split")
+def test_verify_fault_injection_fails(rounding_split, capsys):
+    code = run("verify", "--m", "1", "--d-max", "4", "--pairs", "4")
     assert code == 1
     assert "rounding-accuracy" in capsys.readouterr().err
 

@@ -297,5 +297,7 @@ def test_constructor_validation():
         PolySpace(-1, 2)
     with pytest.raises(ValueError):
         PolySpace(2, 1)
-    with pytest.raises(ValueError):
-        PolySpace(5, 2, quad_order=4)
+    # the Gauss order is fixed at 32, and the degree must stay below it
+    with pytest.raises(ValueError, match="32"):
+        PolySpace(32, 2)
+    assert PolySpace(31, 2).quad_order == 32

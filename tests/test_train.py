@@ -1,6 +1,6 @@
 """Tensor trains: compression, rounding, addition, extension, complexity."""
 
-import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -403,7 +403,9 @@ def test_tt_load_bad_magic(tmp_path):
 def test_load_rejects_corrupt_files(kind, space, tmp_path):
     """Seeded corruption of a valid file: every truncation, padding,
     change of a header field and non-finite payload value raises
-    ValueError."""
+    ValueError.  A level-0 header with a large base loads (QTTF) or is
+    rejected (QTTT) in little memory."""
+    import tracemalloc
     rng = np.random.default_rng(20)
     path = tmp_path / f"f.{kind}"
     if kind == "qttf":
@@ -432,6 +434,23 @@ def test_load_rejects_corrupt_files(kind, space, tmp_path):
         path.write_bytes(data)
         with pytest.raises(ValueError):
             cls.load(path)
+    # a level-0 header bounds no base by its payload: a load builds none of
+    # the b dilation matrices (8 MB at b = 2^16), so it stays small
+    header = struct.pack("<III", 2**16, 0, space.degree)
+    if kind == "qttf":
+        header += b"\x00"  # basis id
+    path.write_bytes(good[:4] + header + np.ones(space.dim).tobytes())
+    tracemalloc.start()
+    try:
+        if kind == "qttf":
+            assert cls.load(path).base == 2**16
+        else:
+            with pytest.raises(ValueError):  # a train needs a digit core
+                cls.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # -- CP representations ----------------------------------------------------
@@ -465,8 +484,8 @@ def test_cp_cost_inequality(space, rng):
 def test_cp_to_tt_budget(space, rng):
     """The dense diagonal cores of cp_to_tt raise BudgetError past
     DEFAULT_BUDGET elements before any is allocated: a rank-4096 CP (two
-    middle cores of 33.6M elements each), and the level-minimizing report
-    of a cell-wise CP at d=11 (rank 2048, 84M elements)."""
+    middle cores of 33.6M elements each), and a cell-wise CP at d=11
+    (rank 2048, 84M elements)."""
     import tracemalloc
     cp = random_cp(space, 3, 4096, rng)
     cellwise = cp_from_tensorized(tensorize(np.sqrt, space, 11))
@@ -475,7 +494,7 @@ def test_cp_to_tt_budget(space, rng):
         with pytest.raises(BudgetError):
             cp_to_tt(cp)
         with pytest.raises(BudgetError):
-            complexity(cellwise, minimize_level=True)
+            cp_to_tt(cellwise)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -522,15 +541,15 @@ def test_complexity_inclusions(space, rng):
 
 
 def test_complexity_minimize_level(space):
+    """The measures at the minimal level are those of `coarsen()`."""
     # a global polynomial re-canonicalizes at level 1
     tt = tt_svd(tensorize(lambda x: np.asarray(x) ** 2, space, 5), 0.0)
-    rep = complexity(tt, minimize_level=True)
+    rep = complexity(tt.coarsen())
     assert rep.level == 1
-    assert rep.level_is_minimal is True
     # a grid-aligned step coarsens to its alignment level
     tt = tt_svd(tensorize(
         lambda x: (np.asarray(x) < 0.5).astype(float), space, 5), 0.0)
-    rep = complexity(tt, minimize_level=True)
+    rep = complexity(tt.coarsen())
     assert rep.level == 1
     # the merged bond is cut back to the coarse coefficient core's rank
     space3 = PolySpace(3, 3)
@@ -541,37 +560,13 @@ def test_complexity_minimize_level(space):
                    for nu, r in enumerate(coarse.ranks, start=1))
     # far past any full-tensor budget: level 60 back to level 16
     tt = tt_svd(tensorize(np.sqrt, space, 16), 0.0)
-    rep = complexity(tt.extend_level(60), minimize_level=True)
+    rep = complexity(tt.extend_level(60).coarsen())
     assert rep.level == 16
-    assert rep.level_is_minimal is True
 
 
 def test_complexity_cp_report(space, rng):
     cp = random_cp(space, 4, 2, rng)
-    rep = complexity(cp)
-    assert rep.cp == cost_cp(cp)
-    assert rep.cp == space.base * 4 * 2 + 2 * space.dim
-    cellwise = cp_from_tensorized(tensorize(np.sqrt, space, 4))
-    for c in (cp, cellwise):
-        got = complexity(c)
-        want = complexity(cp_to_tt(c))
-        assert dataclasses.replace(got, cp=None) == want
-
-
-def test_complexity_cp_memory_bounded():
-    """The report of a cell-wise CP (rank b^d) comes from its factors; the
-    diagonal cores of cp_to_tt would take 8 MB each at d=10."""
-    import tracemalloc
-    cp = cp_from_tensorized(tensorize(np.sqrt, PolySpace(3, 2), 10))
-    assert cp.rank == 1024
-    tracemalloc.start()
-    try:
-        rep = complexity(cp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
-    assert rep.max_rank == 1024 and rep.level == 10
+    assert cost_cp(cp) == space.base * 4 * 2 + 2 * space.dim
 
 
 def test_cost_helpers(space):
