@@ -117,6 +117,33 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
     return out
 
 
+# A sweep step is wide when its matrix has at least _WIDE times more
+# columns than rows; TSQR then works on blocks of _TSQR_BLOCK columns per row.
+_WIDE = 32
+_TSQR_BLOCK = 64
+
+
+def _qr_t(mat: np.ndarray, mode: str):
+    """QR of the (stacked) transpose of `mat` (..., rows, cols)."""
+    return np.linalg.qr(np.swapaxes(mat, -1, -2), mode=mode)
+
+
+def _tsqr_r(mat: np.ndarray) -> np.ndarray:
+    """R (rows, rows) of mat.T for a wide `mat` (rows, cols), by blocked
+    TSQR (Demmel, Grigori, Hoemmen, Langou 2012): one stacked QR over
+    column blocks of _TSQR_BLOCK * rows columns, then one QR of their
+    stacked R factors next to the leftover columns.  numpy copies the
+    blocks once and hands LAPACK one block at a time; an unblocked
+    qr(mat.T) would stage the whole matrix in a second buffer."""
+    rows, cols = mat.shape
+    width = _TSQR_BLOCK * rows
+    nblk = cols // width
+    blocks = mat[:, :nblk * width].reshape(rows, nblk, width).swapaxes(0, 1)
+    rs = _qr_t(blocks, "r")  # (nblk, rows, rows)
+    return _qr_t(np.concatenate([rs.transpose(2, 0, 1).reshape(rows, -1),
+                                 mat[:, nblk * width:]], axis=1), "r")
+
+
 def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     """One truncated SVD step of `_sweep`, in a function of its own so that
     the full SVD factors die on return.  s is the spectrum of `mat` over the
@@ -125,15 +152,31 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     and divides by it; later steps get a carry divided already.  The kept
     rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
     rel_floor * s[0] and is at least 1.  Returns u[:, :r], the carry
-    s[:r] vt[:r] into the next core, s and the norm."""
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if norm is None:
+    s[:r] vt[:r] into the next core, s and the norm.
+
+    A wide step (cols >= _WIDE * rows: the first steps of a full tensor,
+    and in a train only a bond far wider than the one before it) never
+    forms vt (Chan 1982): u and s come from the SVD of the small R.T of
+    mat.T = QR, taken by `_tsqr_r`, and the carry is the one product
+    u[:, :r].T @ mat, divided by the norm on the first step only (later
+    carries are divided already).  Unlike the Gram matrix mat @ mat.T,
+    R resolves s far below 1e-8 s[0]."""
+    wide = mat.shape[1] >= _WIDE * mat.shape[0]
+    u, s, vt = np.linalg.svd(_tsqr_r(mat).T if wide else mat,
+                             full_matrices=False)
+    first = norm is None
+    if first:
         norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0.0 else 0.0
         s = s / (norm or 1.0)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
     r = max(min(int(np.searchsorted(-tail, -delta)) if delta > 0 else s.size,
                 int(np.count_nonzero(s > rel_floor * s[0]))), 1)
-    return u[:, :r], s[:r, None] * vt[:r], s, norm
+    if not wide:
+        return u[:, :r], s[:r, None] * vt[:r], s, norm
+    carry = u[:, :r].T @ mat
+    if first:
+        carry /= norm or 1.0
+    return u[:, :r], carry, s, norm
 
 
 def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
@@ -146,6 +189,11 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     carry into the next chain core when there is one: without truncation
     step nu sees the spectrum of prefix unfolding nu.  Returns the
     len(modes) cores of a train and each step's spectrum over the norm.
+
+    On the chain [coeffs] the first steps factor (r b, N) matrices with a
+    few rows and N up to b^d (m+1); `_svd_step` takes those wide steps by
+    TSQR and one SVD of a (r b, r b) matrix, so no step forms a vt as
+    large as the tensor.
 
     Scale is handled here only: the QR factors are divided by their
     max-abs and the first step divides by the norm.  The product of these
@@ -162,7 +210,7 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     core, rest = chain[-1], []
     mant, expo = 1.0, 0  # the product of the scales, mant * 2**expo
     for left in chain[-2::-1]:
-        q, rr = np.linalg.qr(core.reshape(core.shape[0], -1).T)
+        q, rr = _qr_t(core.reshape(core.shape[0], -1), "reduced")
         peak = np.max(np.abs(rr))
         if peak > 0.0:
             rr = rr / peak

@@ -69,12 +69,14 @@ class TensorTrain:
         return TensorizedFunction(self.space, self.level, out[..., 0])
 
     def __call__(self, x):
-        """Evaluate by contracting one digit slice per core; never builds
-        the full tensor."""
+        """Evaluate with one matmul per core, v @ G (r, b s), and a row
+        select of each point's digit slice; never builds the full tensor."""
         def coeffs_at(digits):
+            pts = np.arange(digits.shape[1])
             v = self.cores[0][0, digits[0], :]  # (points, r_1)
             for g, i in zip(self.cores[1:-1], digits[1:]):
-                v = np.einsum("pi,ipj->pj", v, g[:, i, :])
+                r, b, s = g.shape
+                v = (v @ g.reshape(r, b * s)).reshape(-1, b, s)[pts, i]
             return v @ self.cores[-1][:, :, 0]
         return _evaluate(self.space, self.level, x, coeffs_at)
 

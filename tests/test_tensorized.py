@@ -8,7 +8,7 @@ import pytest
 from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
                    corpus_functions, cp_from_tensorized, tt_svd)
 from ttfun.cli import parse_function_spec
-from ttfun.tensorized import _sweep
+from ttfun.tensorized import _WIDE, _svd_step, _sweep
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -342,10 +342,56 @@ def test_rank_profile_matches_unfolding_svds(b):
 
 
 def test_rank_profile_matches_unfolding_svds_deep(space):
+    """At d=18, where the first sweep steps are wide, also for the tensor
+    scaled by 1e-300 and 1e300: the profile and the ranks of tt_svd(0.0)
+    stay those of the unscaled tensor."""
     for name in ("sqrt", "sin:3", "abs_power:0.5,0.6"):
         f, _ = parse_function_spec(name)
         tf = TensorizedFunction.tensorize(f, space, 18)
-        assert tf.rank_profile().ranks == unfolding_ranks(tf, 1e-10)
+        want = tf.rank_profile().ranks
+        assert want == unfolding_ranks(tf, 1e-10)
+        exact = tt_svd(tf, 0.0).ranks
+        for c in (1e-300, 1e300):
+            assert (c * tf).rank_profile().ranks == want
+            assert tt_svd(c * tf, 0.0).ranks == exact
+
+
+@pytest.mark.parametrize("k", [2, 8, 16])
+def test_svd_step_wide_planted_spectrum(k):
+    """A wide step (2^16 columns) goes through TSQR: a planted spectrum
+    logspace(0, -14, k) comes back within 1e-14 s[0], and u @ carry
+    rebuilds the matrix within 1e-14 of its norm."""
+    n = 2**16
+    assert n >= _WIDE * k
+    rng = np.random.default_rng(k)
+    u0, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    v0, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    want = np.logspace(0, -14, k)
+    mat = (u0 * want) @ v0.T
+    u, carry, s, norm = _svd_step(mat, 1.0, 0.0, 0.0)
+    assert norm == 1.0 and s.shape == (k,)
+    assert np.max(np.abs(s - want)) <= 1e-14 * want[0]
+    assert (np.linalg.norm(u @ carry - mat)
+            <= 1e-14 * np.linalg.norm(mat))
+
+
+def test_sweep_memory_bounded(space):
+    """The wide steps copy column blocks for TSQR, never a transpose of the
+    whole matrix, and drop their factors on return: rank_profile and
+    tt_svd(0.0) at d=16 peak at most 2.5x the tensor (3.0x with a full
+    SVD per step).  tracemalloc does not see LAPACK's own work buffers, so
+    this bounds numpy's arrays only; the RSS of deep runs is measured
+    outside the test suite."""
+    import tracemalloc
+    tf = TensorizedFunction.tensorize(np.sqrt, space, 16)
+    for run in (tf.rank_profile, lambda: tt_svd(tf, 0.0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * tf.coeffs.nbytes
 
 
 def test_partial_eval_levels(space):

@@ -11,6 +11,7 @@ from ttfun import (BudgetError, CPRep, PolySpace, TensorTrain,
                    cp_from_tensorized, cp_to_tt, maxrank_growth, maxrank_pair,
                    tt_svd)
 from ttfun.approx import random_cp, random_train
+from ttfun.tensorized import _evaluate
 
 
 def tensorize(f, space, d):
@@ -101,6 +102,21 @@ def test_batched_eval_matches_full(b, d, m, rng):
         value = rep(0.4375)
         assert type(value) is float
         assert abs(value - full(0.4375)) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_tt_eval_matches_slice_contraction(space, rng):
+    """One matmul per core and a row select give the values of contracting
+    each point's digit slices one by one, to 1e-14 relative."""
+    tt = tt_svd(tensorize(np.sqrt, space, 16), 1e-12)
+
+    def sliced(digits):
+        v = tt.cores[0][0, digits[0], :]
+        for g, i in zip(tt.cores[1:-1], digits[1:]):
+            v = np.einsum("pi,ipj->pj", v, g[:, i, :])
+        return v @ tt.cores[-1][:, :, 0]
+    xs = rng.uniform(0.0, 1.0, 1000)
+    want = _evaluate(space, tt.level, xs, sliced)
+    assert np.max(np.abs(tt(xs) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_cellwise_cp_eval_memory_bounded(rng):
