@@ -256,8 +256,8 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
         # rank admissibility and bounds
         worst_adm, worst_bound = 1.0, 1.0
         bad = None
-        for name, tf in tfs:
-            ranks = tf.rank_profile().ranks
+        profiles = [tf.rank_profile().ranks for _, tf in tfs]
+        for (name, tf), ranks in zip(tfs, profiles):
             d = tf.level
             for nu in range(d - 1):
                 if ranks[nu] and ranks[nu + 1]:
@@ -276,11 +276,11 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
         # level invariance of prefix ranks under releveling
         invariant = True
         bad = None
-        for name, tf in tfs:
+        for (name, tf), ranks in zip(tfs, profiles):
             if tf.level > 4:
                 continue
             up = tf.relevel_up(tf.level + 2)
-            if up.rank_profile().ranks[:tf.level] != tf.rank_profile().ranks:
+            if up.rank_profile().ranks[:tf.level] != ranks:
                 invariant = False
                 bad = name
         report.append(_entry(f"level-invariance[{tag}]", invariant, True,
@@ -373,12 +373,12 @@ def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,
         worst_round = 0.0
         for _ in range(10):
             t = random_train(space, d_max, rng, max_rank=4)
-            norm = t.to_full().lp_norm(2)
+            full = t.to_full()
+            norm = full.lp_norm(2)
             if norm == 0.0:
                 continue
             for tol in (0.5, 0.2):
-                rt = t.round(tol)
-                err = (rt.to_full() - t.to_full()).lp_norm(2)
+                err = (t.round(tol).to_full() - full).lp_norm(2)
                 worst_round = max(worst_round, err / (tol * norm))
         report.append(_entry(f"rounding-accuracy[{tag}]", worst_round, 1.0,
                              worst_round <= 1.0 + 1e-9))

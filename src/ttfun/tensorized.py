@@ -118,52 +118,47 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
 
 
 # A sweep step is wide when its matrix has at least _WIDE times more
-# columns than rows; TSQR then works on blocks of _TSQR_BLOCK columns per row.
+# columns than rows; TSQR then reads it _CHUNK elements at a time.
 _WIDE = 32
-_TSQR_BLOCK = 64
+_CHUNK = 2**15
 
 
 def _qr_t(mat: np.ndarray, mode: str):
-    """QR of the (stacked) transpose of `mat` (..., rows, cols)."""
-    return np.linalg.qr(np.swapaxes(mat, -1, -2), mode=mode)
+    """QR of the transpose of `mat` (rows, cols)."""
+    return np.linalg.qr(mat.T, mode=mode)
 
 
 def _tsqr_r(mat: np.ndarray) -> np.ndarray:
-    """R (rows, rows) of mat.T for a wide `mat` (rows, cols), by blocked
-    TSQR (Demmel, Grigori, Hoemmen, Langou 2012): one stacked QR over
-    column blocks of _TSQR_BLOCK * rows columns, then one QR of their
-    stacked R factors next to the leftover columns.  numpy copies the
-    blocks once and hands LAPACK one block at a time; an unblocked
-    qr(mat.T) would stage the whole matrix in a second buffer."""
+    """R of mat.T = QR for a wide `mat` (rows, cols), by flat-tree TSQR
+    (Demmel, Grigori, Hoemmen, Langou 2012): one QR per chunk of _CHUNK
+    elements, taken of R.T found so far next to the chunk's columns.
+    numpy's qr copies its input, so only one chunk is ever copied."""
     rows, cols = mat.shape
-    width = _TSQR_BLOCK * rows
-    nblk = cols // width
-    blocks = mat[:, :nblk * width].reshape(rows, nblk, width).swapaxes(0, 1)
-    rs = _qr_t(blocks, "r")  # (nblk, rows, rows)
-    return _qr_t(np.concatenate([rs.transpose(2, 0, 1).reshape(rows, -1),
-                                 mat[:, nblk * width:]], axis=1), "r")
+    width = _CHUNK // rows
+    r = np.empty((0, rows))
+    for s in range(0, cols, width):
+        r = _qr_t(np.concatenate([r.T, mat[:, s:s + width]], axis=1), "r")
+    return r
 
 
 def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     """One truncated SVD step of `_sweep`, in a function of its own so that
-    the full SVD factors die on return.  s is the spectrum of `mat` over the
+    the SVD factors die on return.  s is the spectrum of `mat` over the
     tensor's norm: the first step (norm None) reads the norm off its own
     spectrum as s[0] ||s / s[0]||, free of overflow (0 for a zero tensor),
     and divides by it; later steps get a carry divided already.  The kept
     rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
     rel_floor * s[0] and is at least 1.  Returns u[:, :r], the carry
-    s[:r] vt[:r] into the next core, s and the norm.
+    u[:, :r].T @ mat (over the norm), s and the norm.
 
     A wide step (cols >= _WIDE * rows: the first steps of a full tensor,
-    and in a train only a bond far wider than the one before it) never
-    forms vt (Chan 1982): u and s come from the SVD of the small R.T of
-    mat.T = QR, taken by `_tsqr_r`, and the carry is the one product
-    u[:, :r].T @ mat, divided by the norm on the first step only (later
-    carries are divided already).  Unlike the Gram matrix mat @ mat.T,
-    R resolves s far below 1e-8 s[0]."""
+    and in a train only a bond far wider than the one before it) takes u
+    and s from the SVD of the small R.T of mat.T = QR (Chan 1982), found
+    by `_tsqr_r`, so no vt as large as the matrix is formed.  Unlike the
+    Gram matrix mat @ mat.T, R resolves s far below 1e-8 s[0]."""
     wide = mat.shape[1] >= _WIDE * mat.shape[0]
-    u, s, vt = np.linalg.svd(_tsqr_r(mat).T if wide else mat,
-                             full_matrices=False)
+    u, s, _ = np.linalg.svd(_tsqr_r(mat).T if wide else mat,
+                            full_matrices=False)
     first = norm is None
     if first:
         norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0.0 else 0.0
@@ -171,8 +166,6 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
     r = max(min(int(np.searchsorted(-tail, -delta)) if delta > 0 else s.size,
                 int(np.count_nonzero(s > rel_floor * s[0]))), 1)
-    if not wide:
-        return u[:, :r], s[:r, None] * vt[:r], s, norm
     carry = u[:, :r].T @ mat
     if first:
         carry /= norm or 1.0
@@ -191,9 +184,10 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     len(modes) cores of a train and each step's spectrum over the norm.
 
     On the chain [coeffs] the first steps factor (r b, N) matrices with a
-    few rows and N up to b^d (m+1); `_svd_step` takes those wide steps by
-    TSQR and one SVD of a (r b, r b) matrix, so no step forms a vt as
-    large as the tensor.
+    few rows and N up to b^d (m+1).  `_svd_step` takes those wide steps by
+    TSQR, which copies one chunk at a time, and one SVD of an (r b, r b)
+    matrix.  So a step holds its input and its carry, both as large as the
+    tensor while the ranks grow by a factor b, and little more.
 
     Scale is handled here only: the QR factors are divided by their
     max-abs and the first step divides by the norm.  The product of these
@@ -217,7 +211,7 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
             mant, e = np.frexp(mant * peak)
             expo += int(e)
         rest.append(q.T)
-        core = np.tensordot(left, rr.T, axes=(-1, 0))
+        core = left @ rr.T
     cores, spectra, norm = [], [], None
     carry = core.reshape(1, -1)
     for n in modes[:-1]:

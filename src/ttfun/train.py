@@ -138,7 +138,7 @@ class TensorTrain:
         trims the merged bond."""
         cores = self.round(0.0).cores
         while len(cores) > 2:
-            rows = np.tensordot(cores[-2], cores[-1][:, :, 0], axes=(2, 0))
+            rows = cores[-2] @ cores[-1][:, :, 0]
             coarse = _coarser(self.space, rows.reshape(rows.shape[0], -1))
             if coarse is None:
                 break

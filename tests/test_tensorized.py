@@ -8,7 +8,7 @@ import pytest
 from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
                    corpus_functions, cp_from_tensorized, tt_svd)
 from ttfun.cli import parse_function_spec
-from ttfun.tensorized import _WIDE, _svd_step, _sweep
+from ttfun.tensorized import _CHUNK, _WIDE, _svd_step, _sweep, _tsqr_r
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -375,13 +375,48 @@ def test_svd_step_wide_planted_spectrum(k):
             <= 1e-14 * np.linalg.norm(mat))
 
 
+@pytest.mark.parametrize("rows", [2, 8, 64, 256])
+def test_tsqr_r_matches_qr(rows):
+    """The flat TSQR loop gives the R of one unblocked qr(mat.T), up to the
+    signs of its rows, for fewer columns than one chunk, exactly k chunks
+    and k chunks plus a remainder; at 256 rows a chunk (128 columns) is
+    narrower than the row count."""
+    width = _CHUNK // rows
+    rng = np.random.default_rng(rows)
+    for cols in (width // 2 + 1, 3 * width, 3 * width + width // 3 + 1):
+        mat = rng.standard_normal((rows, cols))
+        got = _tsqr_r(mat)
+        want = np.linalg.qr(mat.T, mode="r")
+        assert got.shape == want.shape
+        got = got * np.sign(np.diag(got))[:, None]
+        want = want * np.sign(np.diag(want))[:, None]
+        assert (np.max(np.abs(got - want))
+                <= 1e-13 * np.linalg.norm(mat))
+
+
+def test_tsqr_r_memory_bounded():
+    """_tsqr_r copies one chunk at a time: on a (2, 2^20) matrix its
+    traced peak stays within 0.1x the matrix (a qr of the whole mat.T
+    copies all of it)."""
+    import tracemalloc
+    mat = np.random.default_rng(0).standard_normal((2, 2**20))
+    tracemalloc.start()
+    try:
+        _tsqr_r(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * mat.nbytes
+
+
 def test_sweep_memory_bounded(space):
-    """The wide steps copy column blocks for TSQR, never a transpose of the
-    whole matrix, and drop their factors on return: rank_profile and
-    tt_svd(0.0) at d=16 peak at most 2.5x the tensor (3.0x with a full
-    SVD per step).  tracemalloc does not see LAPACK's own work buffers, so
-    this bounds numpy's arrays only; the RSS of deep runs is measured
-    outside the test suite."""
+    """rank_profile and tt_svd(0.0) at d=16 peak at most 2.5x the tensor
+    (3.0x with a full SVD per step).  The peak is one step's input plus
+    its carry: while the ranks grow by a factor b, both are as large as
+    the tensor.  TSQR copies one chunk at a time, and each step drops its
+    factors on return.  tracemalloc does not see LAPACK's own work
+    buffers, so this bounds numpy's arrays only; the RSS of deep runs is
+    measured outside the test suite."""
     import tracemalloc
     tf = TensorizedFunction.tensorize(np.sqrt, space, 16)
     for run in (tf.rank_profile, lambda: tt_svd(tf, 0.0)):
