@@ -178,7 +178,7 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
 
 def corpus_functions():
     """Named test functions spanning smooth, singular and piecewise cases."""
-    funcs = [
+    return [
         ("const", lambda x: np.ones_like(np.asarray(x, dtype=float))),
         ("linear", lambda x: np.asarray(x, dtype=float)),
         ("quadratic", lambda x: np.asarray(x) ** 2),
@@ -193,7 +193,6 @@ def corpus_functions():
         ("step_third", lambda x: (np.asarray(x) < 1.0 / 3.0).astype(float)),
         ("staircase", lambda x: np.floor(4 * np.asarray(x)) / 4.0),
     ]
-    return funcs
 
 
 def random_train(space: PolySpace, level: int, rng, max_rank: int = 3
@@ -217,13 +216,9 @@ def random_cp(space: PolySpace, level: int, rank: int, rng) -> CPRep:
 
 
 def _entry(lemma, measured, limit, ok, worst=None):
-    return {
-        "lemma": lemma,
-        "status": "pass" if ok else "fail",
-        "constant_paper": limit,
-        "constant_measured": measured,
-        "worst_case_inputs": worst,
-    }
+    return {"lemma": lemma, "status": "pass" if ok else "fail",
+            "constant_paper": limit, "constant_measured": measured,
+            "worst_case_inputs": worst}
 
 
 def lemma_corpus(b: int = 2, degrees=(0, 1, 3), d_max: int = 6,

@@ -9,6 +9,7 @@ large d, where forming b**d would overflow or lose precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,19 +57,21 @@ def extract_digits(x, base: int, level: int) -> tuple:
         raise ValueError(f"base must be >= 2, got {base}")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    # a copy; [()] makes 0-d input a numpy scalar, 4x faster in the loop
-    y = np.array(x, dtype=float)[()]
-    if not np.all((y >= 0.0) & (y < 1.0)):
+    scalar = isinstance(x, (int, float))  # a 0-d array takes the array path
+    y = float(x) if scalar else np.array(x, dtype=float)  # a copy
+    if not (0.0 <= y < 1.0 if scalar else np.all((y >= 0.0) & (y < 1.0))):
         raise ValueError("point outside [0, 1)")
+    floor = math.floor if scalar else np.floor  # y // 1.0 is slow on arrays
     digits = []
     for _ in range(level):
         # a double y < 1 gives y * base < base after rounding, so the floor
         # is a digit and the exact remainder y - floor(y) stays in [0, 1)
         y *= base
-        digit = np.floor(y)
+        digit = floor(y)
         y -= digit
         digits.append(digit)
-    return np.array(digits, dtype=np.int64).reshape((level,) + y.shape), y
+    digits = np.array(digits, dtype=np.int64)
+    return (digits if scalar else digits.reshape((level,) + y.shape)), y
 
 
 def encode(x: float, base: int, level: int) -> BaseBCoordinate:

@@ -9,7 +9,7 @@ along with a differentiation matrix.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -83,9 +83,7 @@ class PolySpace:
             raise ValueError(f"base must be >= 2, got {base}")
         self.degree = degree
         self.base = base
-        nodes, weights = np.polynomial.legendre.leggauss(self.quad_order)
-        self.nodes = 0.5 * (nodes + 1.0)
-        self.weights = 0.5 * weights
+        self.nodes, self.weights = self.gauss_rule(self.quad_order)
         self.basis_at_nodes = legendre_values(degree, self.nodes)  # (m+1, Q)
         self._proj = self.basis_at_nodes * self.weights  # rows integrate vs L_j
 
@@ -97,6 +95,17 @@ class PolySpace:
                         2.0 * np.sqrt((2.0 * j + 1.0) * (2.0 * k + 1.0)), 0.0)
         diff.setflags(write=False)
         self.diff_matrix = diff
+
+    @staticmethod
+    @cache
+    def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only nodes and weights of the order-point Gauss-Legendre
+        rule on [0,1], built once per order and shared by every caller."""
+        t, w = np.polynomial.legendre.leggauss(order)
+        rule = 0.5 * (t + 1.0), 0.5 * w
+        for a in rule:
+            a.setflags(write=False)
+        return rule
 
     @property
     def dim(self) -> int:

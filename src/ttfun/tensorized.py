@@ -8,8 +8,10 @@ coefficient of the piece f(b^-d (j + .)) with j = sum_k j_k b^(d-k).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,8 +102,7 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
     """
     m = space.degree
     nq = max((m * int(np.ceil(p)) + 2) // 2 + 1, m + 2)
-    t, w = np.polynomial.legendre.leggauss(nq)
-    yq, wq = 0.5 * (t + 1.0), 0.5 * w
+    yq, wq = space.gauss_rule(nq)
     out = np.abs(flat @ legendre_values(m, yq)) ** p @ wq
     bound = np.abs(flat[:, 1:]) @ basis_sup(m)[1:]
     mixed = np.nonzero(np.abs(flat[:, 0]) < bound)[0]
@@ -123,11 +124,6 @@ _WIDE = 32
 _CHUNK = 2**15
 
 
-def _qr_t(mat: np.ndarray, mode: str):
-    """QR of the transpose of `mat` (rows, cols)."""
-    return np.linalg.qr(mat.T, mode=mode)
-
-
 def _tsqr_r(mat: np.ndarray) -> np.ndarray:
     """R of mat.T = QR for a wide `mat` (rows, cols), by flat-tree TSQR
     (Demmel, Grigori, Hoemmen, Langou 2012): one QR per chunk of _CHUNK
@@ -137,7 +133,7 @@ def _tsqr_r(mat: np.ndarray) -> np.ndarray:
     width = _CHUNK // rows
     r = np.empty((0, rows))
     for s in range(0, cols, width):
-        r = _qr_t(np.concatenate([r.T, mat[:, s:s + width]], axis=1), "r")
+        r = np.linalg.qr(np.hstack([r.T, mat[:, s:s + width]]).T, mode="r")
     return r
 
 
@@ -148,8 +144,9 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     spectrum as s[0] ||s / s[0]||, free of overflow (0 for a zero tensor),
     and divides by it; later steps get a carry divided already.  The kept
     rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
-    rel_floor * s[0] and is at least 1.  Returns u[:, :r], the carry
-    u[:, :r].T @ mat (over the norm), s and the norm.
+    rel_floor * s[0] (none of a nonzero mat if rel_floor < 0), is at least
+    1 and is found on Python floats.  Returns u[:, :r], the carry u[:, :r].T @ mat (over
+    the norm), s and the norm.
 
     A wide step (cols >= _WIDE * rows: the first steps of a full tensor,
     and in a train only a bond far wider than the one before it) takes u
@@ -163,9 +160,11 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     if first:
         norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0.0 else 0.0
         s = s / (norm or 1.0)
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = ||s[r:]||
-    r = max(min(int(np.searchsorted(-tail, -delta)) if delta > 0 else s.size,
-                int(np.count_nonzero(s > rel_floor * s[0]))), 1)
+    vals = s.tolist()
+    # ||s[i:]||^2, the squares summed from the end one by one as np.cumsum
+    tails = accumulate(v * v for v in reversed(vals))
+    r = max(min(sum(math.sqrt(t) > delta for t in tails) if delta > 0
+                else len(vals), sum(v > rel_floor * vals[0] for v in vals)), 1)
     carry = u[:, :r].T @ mat
     if first:
         carry /= norm or 1.0
@@ -175,13 +174,14 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
 def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     """The one canonical sweep (Oseledets 2011, section 3) of a tensor with
     mode sizes `modes`, held by a chain of cores: a full tensor is the
-    chain [coeffs], a train its cores, one per mode.  A right-to-left QR
-    pass leaves chain[1:] right-orthonormal.  Then one SVD step per digit
-    mode runs left to right, truncated at tol/sqrt(d) times the tensor's
-    norm so that the d steps together stay within tol, and contracts its
-    carry into the next chain core when there is one: without truncation
-    step nu sees the spectrum of prefix unfolding nu.  Returns the
-    len(modes) cores of a train and each step's spectrum over the norm.
+    chain [coeffs], a train its cores, one per mode.  Right to left, one
+    untruncated SVD step per core, C.T = u (s vt), leaves chain[1:]
+    right-orthonormal and pushes (s vt).T left.  Then one SVD step per
+    digit mode runs left to right, truncated at tol/sqrt(d) times the
+    tensor's norm so that the d steps stay within tol, and contracts its
+    carry into the next chain core if any: without truncation step nu
+    sees the spectrum of prefix unfolding nu.  Returns the len(modes)
+    cores of a train and each step's spectrum over the norm.
 
     On the chain [coeffs] the first steps factor (r b, N) matrices with a
     few rows and N up to b^d (m+1).  `_svd_step` takes those wide steps by
@@ -189,29 +189,30 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     matrix.  So a step holds its input and its carry, both as large as the
     tensor while the ranks grow by a factor b, and little more.
 
-    Scale is handled here only: the QR factors are divided by their
-    max-abs and the first step divides by the norm.  The product of these
-    scales is kept as a mantissa and a base-2 exponent (its log), so nothing
-    overflows at any depth or magnitude.  It goes back exactly: the exponent
-    is spread evenly over the cores and the mantissa multiplies the first
-    (an exp of the summed logs would cost |log scale| ulps, 1e-13 relative
-    at 1e300).  A zero tensor gets all-zero cores."""
+    Scale is handled here only: each pushed factor is divided by its s[0]
+    and the first left-to-right step divides by the norm.  The product of
+    these scales is kept as a mantissa and a base-2 exponent (its log), so
+    nothing overflows at any depth or magnitude.  It goes back exactly: the
+    exponent is spread evenly over the cores and the mantissa multiplies
+    the first (an exp of the summed logs would cost |log scale| ulps, 1e-13
+    relative at 1e300).  A zero tensor gets all-zero cores."""
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tol must be >= 0, got {tol}")
-    delta = tol / np.sqrt(max(len(modes) - 1, 1))
+    delta = tol / math.sqrt(max(len(modes) - 1, 1))
     # rest holds the right-orthonormal chain[1:] in pop order, so that
     # each is freed once contracted
     core, rest = chain[-1], []
     mant, expo = 1.0, 0  # the product of the scales, mant * 2**expo
-    for left in chain[-2::-1]:
-        q, rr = _qr_t(core.reshape(core.shape[0], -1), "reduced")
-        peak = np.max(np.abs(rr))
+    for left in chain[-2::-1]:  # untruncated steps: delta 0, no floor
+        u, sv, s, _ = _svd_step(core.reshape(core.shape[0], -1).T, 1.0,
+                                0.0, -1.0)
+        peak = float(s[0])
         if peak > 0.0:
-            rr = rr / peak
-            mant, e = np.frexp(mant * peak)
-            expo += int(e)
-        rest.append(q.T)
-        core = left @ rr.T
+            sv = sv / peak
+            mant, e = math.frexp(mant * peak)
+            expo += e
+        rest.append(u.T)
+        core = left @ sv.T
     cores, spectra, norm = [], [], None
     carry = core.reshape(1, -1)
     for n in modes[:-1]:
@@ -224,11 +225,11 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     cores.append(carry.reshape(-1, modes[-1], 1))
     if norm == 0.0:
         return [g * 0.0 for g in cores], spectra
-    mant, e = np.frexp(mant * (norm or 1.0))
-    share, rem = divmod(expo + int(e), len(cores))
+    mant, e = math.frexp(mant * (norm or 1.0))
+    share, rem = divmod(expo + e, len(cores))
     cores[0] = cores[0] * mant
-    return ([np.ldexp(g, share + (k < rem)) for k, g in enumerate(cores)],
-            spectra)
+    return ([g if share + (k < rem) == 0 else np.ldexp(g, share + (k < rem))
+             for k, g in enumerate(cores)], spectra)
 
 
 def _rank_profile(chain, modes, tol: float) -> RankProfile:
@@ -427,11 +428,10 @@ class TensorizedFunction:
     def save(self, path) -> None:
         """Binary dump: magic 'QTTF', u32 b, u32 d, u32 m, u8 basis id,
         then b^d (m+1) little-endian f64 in digit-major layout."""
-        header = struct.pack("<4sIIIB", _MAGIC_FULL, self.base, self.level,
-                             self.space.degree, 0)
         with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(self.coeffs.astype("<f8").tobytes())
+            fh.write(struct.pack("<4sIIIB", _MAGIC_FULL, self.base,
+                                 self.level, self.space.degree, 0))
+            fh.write(np.ascontiguousarray(self.coeffs, "<f8"))
 
     @classmethod
     def load(cls, path) -> "TensorizedFunction":

@@ -90,12 +90,8 @@ class TensorTrain:
             return NotImplemented
         if other.base != self.base or other.space.degree != self.space.degree:
             raise ValueError("incompatible base or local space")
-        a, b = self, other
-        if a.level != b.level:
-            if a.level < b.level:
-                a = a.extend_level(b.level)
-            else:
-                b = b.extend_level(a.level)
+        level = max(self.level, other.level)
+        a, b = self.extend_level(level), other.extend_level(level)
         cores = [np.concatenate([a.cores[0], b.cores[0]], axis=2)]
         for ga, gb in zip(a.cores[1:-1], b.cores[1:-1]):
             blk = np.zeros((ga.shape[0] + gb.shape[0], ga.shape[1],
@@ -166,15 +162,12 @@ class TensorTrain:
         """Binary dump: magic 'QTTT', u32 b, u32 d, u32 m, u32 ranks[d],
         then cores as little-endian f64, each row-major with the digit
         index first (digit, in-rank, out-rank)."""
-        ranks = self.ranks
-        header = struct.pack("<4sIII", _MAGIC_TT, self.base, self.level,
-                             self.space.degree)
-        header += struct.pack(f"<{len(ranks)}I", *ranks)
         with open(path, "wb") as fh:
-            fh.write(header)
+            fh.write(struct.pack(f"<4sIII{self.level}I", _MAGIC_TT, self.base,
+                                 self.level, self.space.degree, *self.ranks))
             for g in self.cores[:-1]:
-                fh.write(np.transpose(g, (1, 0, 2)).astype("<f8").tobytes())
-            fh.write(self.cores[-1][:, :, 0].astype("<f8").tobytes())
+                fh.write(np.ascontiguousarray(g.transpose(1, 0, 2), "<f8"))
+            fh.write(np.ascontiguousarray(self.cores[-1][:, :, 0], "<f8"))
 
     @classmethod
     def load(cls, path) -> "TensorTrain":
@@ -368,12 +361,11 @@ def maxrank_pair(space: PolySpace, n: int, rng) -> tuple[TensorTrain, TensorTrai
     shape = (b,) * d_shallow + (dim,)
     dense = TensorizedFunction(space, d_shallow, rng.standard_normal(shape))
     full_rank = tt_svd(dense, 0.0)
-    # scale each digit core to Frobenius norm sqrt(b) so the function's L2
-    # norm stays O(1) over thousands of cores
-    cores = []
-    for _ in range(d_deep):
-        g = rng.standard_normal((1, b, 1))
-        cores.append(g * (np.sqrt(b) / np.linalg.norm(g)))
+    # one draw of all digit cores, each scaled to Frobenius norm sqrt(b) (a
+    # dot, as np.linalg.norm takes it) so the L2 norm stays O(1) at depth
+    g = rng.standard_normal((d_deep, 1, b))
+    g *= np.sqrt(b) / np.sqrt(g @ g.transpose(0, 2, 1))
+    cores = list(g.reshape(d_deep, 1, b, 1))
     g = rng.standard_normal((1, dim, 1))
     cores.append(g / np.linalg.norm(g))
     rank_one = TensorTrain(space, cores)

@@ -1,5 +1,6 @@
 """Tensor trains: compression, rounding, addition, extension, complexity."""
 
+import math
 import struct
 
 import numpy as np
@@ -266,6 +267,110 @@ def test_round_scaled_sum(space, rng):
                     <= 1e-12 * c * np.max(np.abs(want))
 
 
+def reference_sweep(chain, modes, tol, rel_floor=1e-12):
+    """The reference for `_sweep`: the canonical sweep with one reduced QR
+    per core in its right-to-left pass, the rank rule on numpy arrays
+    (cumsum and searchsorted), the same scale bookkeeping, and a plain SVD
+    in every left-to-right step."""
+    delta = tol / np.sqrt(max(len(modes) - 1, 1))
+    core, rest, mant, expo = chain[-1], [], 1.0, 0
+    for left in chain[-2::-1]:
+        q, rr = np.linalg.qr(core.reshape(core.shape[0], -1).T)
+        peak = np.max(np.abs(rr))
+        if peak > 0.0:
+            rr = rr / peak
+            mant, e = np.frexp(mant * peak)
+            expo += int(e)
+        rest.append(q.T)
+        core = left @ rr.T
+    cores, spectra, norm = [], [], None
+    carry = core.reshape(1, -1)
+    for n in modes[:-1]:
+        mat = carry.reshape(carry.shape[0] * n, -1)
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        first = norm is None
+        if first:
+            norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0 else 0.0
+            s = s / (norm or 1.0)
+        tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+        r = max(min(int(np.searchsorted(-tail, -delta)) if delta > 0
+                    else s.size,
+                    int(np.count_nonzero(s > rel_floor * s[0]))), 1)
+        cores.append(u[:, :r].reshape(-1, n, r))
+        spectra.append(s)
+        carry = u[:, :r].T @ mat
+        if first:
+            carry /= norm or 1.0
+        if rest:
+            carry = carry @ rest.pop()
+    cores.append(carry.reshape(-1, modes[-1], 1))
+    if norm == 0.0:
+        return [g * 0.0 for g in cores], spectra
+    mant, e = np.frexp(mant * (norm or 1.0))
+    share, rem = divmod(expo + int(e), len(cores))
+    cores[0] = cores[0] * mant
+    return ([np.ldexp(g, share + (k < rem)) for k, g in enumerate(cores)],
+            spectra)
+
+
+def log2_norm(tt):
+    """log2 of the Frobenius norm of a train's coefficient tensor, from
+    left-to-right R factors rescaled by powers of 2: free of overflow at
+    any depth, and backward stable on the block sum of two close trains,
+    whose norm a Gram contraction would lose to cancellation."""
+    r, expo = np.ones((1, 1)), 0
+    for g in tt.cores:
+        r = np.linalg.qr((r @ g.reshape(g.shape[0], -1))
+                         .reshape(-1, g.shape[2]), mode="r")
+        peak = np.max(np.abs(r))
+        if peak == 0.0:
+            return -math.inf
+        e = math.frexp(peak)[1]
+        r, expo = np.ldexp(r, -e), expo + e
+    return expo + math.log2(np.linalg.norm(r))
+
+
+def test_sweep_matches_qr_reference(space, rng):
+    """round and rank_profile against `reference_sweep` on raw random
+    trains, their sum, extend_level(40) trains and a 500-level maxrank_pair
+    sum, each scaled by 1, 1e-300 and 1e300: the ranks are equal, the
+    rounded train is within (tol + 1e-13) ||f|| of the reference's (4e-14
+    ||f|| is the largest gap seen), and within (tol + 2e-12) ||f|| of f
+    (the 1e-12 floor of `round` drops up to 1.2e-12 ||f|| here)."""
+    def raw_train(level):
+        ranks = [1] + [int(k) for k in rng.integers(1, 5, size=level)] + [1]
+        return TensorTrain(space, [
+            rng.standard_normal((r, space.base if nu < level else space.dim,
+                                 s))
+            for nu, (r, s) in enumerate(zip(ranks, ranks[1:]))])
+    a, b = raw_train(6), raw_train(6)
+    shallow, deep = maxrank_pair(space, space.base * 500 + space.dim, rng)
+    assert deep.level == 500
+    sqrt6 = tt_svd(tensorize(np.sqrt, space, 6), 0.0)
+    trains = [a, a + b, sqrt6.extend_level(40), (a + b).extend_level(40),
+              shallow + deep]
+    for t in trains:
+        modes = [g.shape[1] for g in t.cores]
+        for c in (1.0, 1e-300, 1e300):
+            f = c * t
+            log_f = log2_norm(f)
+            for tol in (0.0, 1e-12, 0.2, 0.5):
+                got = f.round(tol)
+                want = TensorTrain(space, reference_sweep(f.cores, modes,
+                                                          tol)[0])
+                assert got.ranks == want.ranks
+                assert (log2_norm(got + -want) - log_f
+                        <= math.log2(tol + 1e-13))
+                assert (log2_norm(got + -f) - log_f
+                        <= math.log2(tol + 2e-12))
+                if tol > 0.0:
+                    spectra = reference_sweep(f.cores, modes, 0.0,
+                                              1e-3 * tol)[1]
+                    assert f.rank_profile(tol).ranks == tuple(
+                        int(np.count_nonzero(s > tol * s[0]))
+                        for s in spectra)
+
+
 def test_round_never_increases_ranks(space, rng):
     a = random_train(space, 5, rng, max_rank=4)
     b = random_train(space, 5, rng, max_rank=4)
@@ -406,6 +511,25 @@ def test_tt_save_load(space, rng, tmp_path):
     assert back.ranks == t.ranks
     for ga, gb in zip(back.cores, t.cores):
         assert np.max(np.abs(ga - gb)) == 0.0
+
+
+def test_save_bytes_match_reference_encoding(space, rng, tmp_path):
+    """Both formats write the array buffers themselves: the files equal,
+    byte for byte, the header plus astype("<f8").tobytes() of each
+    payload array."""
+    tf = tensorize(np.sqrt, space, 8)
+    tt = random_train(space, 5, rng, max_rank=4)
+    want_tf = struct.pack("<4sIIIB", b"QTTF", 2, 8, 3, 0) \
+        + tf.coeffs.astype("<f8").tobytes()
+    want_tt = struct.pack("<4sIII", b"QTTT", 2, 5, 3) \
+        + struct.pack(f"<{tt.level}I", *tt.ranks) \
+        + b"".join(np.transpose(g, (1, 0, 2)).astype("<f8").tobytes()
+                   for g in tt.cores[:-1]) \
+        + tt.cores[-1][:, :, 0].astype("<f8").tobytes()
+    for obj, want in ((tf, want_tf), (tt, want_tt)):
+        path = tmp_path / "out.bin"
+        obj.save(path)
+        assert path.read_bytes() == want
 
 
 def test_tt_load_bad_magic(tmp_path):
@@ -608,6 +732,33 @@ def test_maxrank_pair_shapes(space, rng):
 def test_maxrank_pair_budget_too_small(space, rng):
     with pytest.raises(ValueError):
         maxrank_pair(space, 10, rng)
+
+
+def test_maxrank_pair_one_draw_matches_per_core_loop(space):
+    """maxrank_pair draws its deep cores in one call.  A loop of one draw
+    and one normalization per core, fed the same stream, gives cores within
+    1 ulp, and along criterion 07's budget sweep the same ranks of the
+    rounded sums and the same ratios."""
+    b, dim = space.base, space.dim
+    budgets = [112 * 2**k for k in range(6)]
+    rows = maxrank_growth(space, budgets, np.random.default_rng(7))
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for n, row in zip(budgets, rows):
+        shallow, deep = maxrank_pair(space, n, rng)
+        ref.standard_normal((b,) * shallow.level + (dim,))
+        want = []
+        for _ in range(deep.level):
+            g = ref.standard_normal((1, b, 1))
+            want.append(g * (np.sqrt(b) / np.linalg.norm(g)))
+        g = ref.standard_normal((1, dim, 1))
+        want.append(g / np.linalg.norm(g))
+        for got, w in zip(deep.cores, want):
+            assert np.all(np.abs(got - w) <= np.spacing(np.abs(w)))
+        loop = TensorTrain(space, want)
+        summed = (shallow + loop).round(1e-12)
+        assert summed.ranks == (shallow + deep).round(1e-12).ranks
+        n_meas = max(complexity(shallow).rmax, complexity(loop).rmax)
+        assert complexity(summed).rmax / n_meas == row["ratio"]
 
 
 def test_maxrank_ratio_grows(space, rng):
