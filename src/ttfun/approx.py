@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localspace import PolySpace
-from .tensorized import DEFAULT_BUDGET, TensorizedFunction
+from .tensorized import (DEFAULT_BUDGET, TensorizedFunction, _check_p,
+                         _restrict)
 from .train import (CPRep, TensorTrain, complexity, cost_cp, cost_sparse,
                     cp_to_tt, maxrank_growth, maxrank_pair, tt_svd)
 
@@ -40,15 +41,16 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
                 budget: int = DEFAULT_BUDGET) -> list[ErrorCurvePoint]:
     """Candidate sweep over (level, tolerance) pairs.
 
-    Each candidate is the level-d projection compressed at the given
-    tolerance; errors are L^p distances to a reference projection two
-    levels finer than the deepest candidate.  The emitted curve is the
-    lower envelope over the complexity budget n, so it is nonincreasing.
-    Errors at or below the roundoff floor 32 eps d_ref ||ref||_p tie, so
-    the envelope ends at the smallest n that reaches the floor.
+    f is projected once, on the reference level d_ref two levels finer
+    than the deepest candidate.  Each candidate is the `_restrict`ion of
+    that projection to level d (the L2 projection by the composite Gauss
+    rule on its children), compressed at the given tolerance; errors are
+    L^p distances to the reference.  The emitted curve is the lower
+    envelope over the complexity budget n, so it is nonincreasing.  Errors
+    at or below the roundoff floor 32 eps d_ref ||ref||_p tie, so the
+    envelope ends at the smallest n that reaches the floor.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_p(space.degree, p)
     if measure not in _MEASURE_FIELDS:
         raise ValueError(f"unknown measure {measure!r}; "
                          f"choose from {MEASURES}")
@@ -56,12 +58,17 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
     tol_grid = sorted(set(float(t) for t in tol_grid), reverse=True)
     if not d_grid or not tol_grid:
         raise ValueError("d_grid and tol_grid must be nonempty")
+    if d_grid[0] < 1:
+        raise ValueError(f"grid levels must be >= 1, got {d_grid[0]}")
     d_ref = max(d_grid) + 2
     ref = TensorizedFunction.tensorize(f, space, d_ref, budget=budget)
     floor = 32 * np.finfo(float).eps * d_ref * ref.lp_norm(p)
-    raw = []
-    for d in d_grid:
-        tf = TensorizedFunction.tensorize(f, space, d, budget=budget)
+    raw, coeffs = [], ref.coeffs
+    for d in range(d_ref - 1, d_grid[0] - 1, -1):
+        coeffs = _restrict(space, coeffs)
+        if d not in d_grid:
+            continue
+        tf = TensorizedFunction(space, d, coeffs)
         for tol in tol_grid:
             tt = tt_svd(tf, tol)
             full = tt.to_full(budget=budget).relevel_up(d_ref, budget=budget)
@@ -69,7 +76,7 @@ def error_curve(f, space: PolySpace, p: float, measure: str, d_grid, tol_grid,
             report = complexity(tt)
             n = int(getattr(report, _MEASURE_FIELDS[measure]))
             raw.append((n, err, d, tt.ranks))
-    raw.sort(key=lambda t: (t[0], t[1]))
+    raw.sort(key=lambda t: t[:3])  # (n, error), then the coarser d first
     points = []
     best = math.inf
     for n, err, d, ranks in raw:

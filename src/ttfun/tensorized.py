@@ -55,29 +55,48 @@ def _evaluate(space: PolySpace, level: int, x, coeffs_at):
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
+# The largest Gauss rule an L^p norm may build: numpy forms an n-point rule
+# from a dense n x n matrix, and the rule grows with p.
+_MAX_GAUSS = 1024
+
+
+def _check_p(degree: int, p: float) -> None:
+    """Raise ValueError unless 0 < p <= inf and the Gauss rule of
+    `_abs_power_cell_integrals`, (m ceil(p) + 2) // 2 + 1 points, has at
+    most _MAX_GAUSS points: p <= (2 _MAX_GAUSS - 3) // m for degree m > 0."""
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    top = (2 * _MAX_GAUSS - 3) // degree if degree else math.inf
+    if top < p < math.inf:
+        raise ValueError(f"p = {p} needs a Gauss rule of over {_MAX_GAUSS} "
+                         f"points; degree {degree} allows p <= {top}")
+
+
 def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
     """Broken W^{k,p} seminorm (L^p norm for k = 0) of the cell rows `flat`
     (n, m+1): (sum_j b^{d(kp-1)} ||p_j^(k)||_p^p)^{1/p}, and b^{dk} max_j
     ||p_j^(k)||_inf for p = inf.  The rows are scaled to max |c| = 1 before
-    the derivative and b^{d(k-1/p)} is applied in log space, so the result
-    is inf only when it leaves the float range."""
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    the derivative, and the sum S of p-th powers enters log space as
+    (log S - d log b) / p, the difference taken first so that the two large
+    terms of a small p do not cancel; the result is inf only when it leaves
+    the float range."""
+    _check_p(space.degree, p)
     scale = float(np.max(np.abs(flat), initial=0.0))
     unit = flat / scale if scale > 0.0 else flat
     if k:
         unit = space.differentiate(unit, k)
-    if np.isinf(p):
-        value = _sup_abs(space, unit)
-    elif p == 2:
-        value = np.sqrt(np.sum(unit * unit))
+    log_b = math.log(space.base)
+    if np.isinf(p):  # the sup itself: S = sup, no b^-d, power 1
+        total, shift, p = _sup_abs(space, unit), 0.0, 1.0
     else:
-        value = np.sum(_abs_power_cell_integrals(space, unit, p)) ** (1.0 / p)
-    if value == 0.0:
+        total = float(np.sum(unit * unit) if p == 2 else
+                      np.sum(_abs_power_cell_integrals(space, unit, p)))
+        shift = level * log_b
+    if total == 0.0:
         return 0.0
     with np.errstate(over="ignore"):
-        return float(np.exp(level * (k - 1.0 / p) * np.log(space.base)
-                            + np.log(scale) + np.log(value)))
+        return float(np.exp(level * k * log_b + math.log(scale)
+                            + (math.log(total) - shift) / p))
 
 
 def _sup_abs(space: PolySpace, flat) -> float:
@@ -101,7 +120,7 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
     the same rule, so integer p stays exact there too.
     """
     m = space.degree
-    nq = max((m * int(np.ceil(p)) + 2) // 2 + 1, m + 2)
+    nq = max((m * math.ceil(p) + 2) // 2 + 1, m + 2)
     yq, wq = space.gauss_rule(nq)
     out = np.abs(flat @ legendre_values(m, yq)) ** p @ wq
     bound = np.abs(flat[:, 1:]) @ basis_sup(m)[1:]
@@ -244,23 +263,6 @@ def _rank_profile(chain, modes, tol: float) -> RankProfile:
         int(np.count_nonzero(s > tol * s[0])) for s in spectra), tol)
 
 
-def _coarser(space: PolySpace, rows: np.ndarray):
-    """One digit less: the coarse rows c (n, m+1) whose dilation families
-    D_0 c, ..., D_(b-1) c are the sibling rows (n, b(m+1)), or None when the
-    Frobenius norm of the whole least-squares residual exceeds 1e-9 times
-    that of the rows.  Rows in any left-orthonormal basis give the same
-    answer, so a train's last two cores decide as its full tensor does.
-    The rows are solved at max |c| = 1, so no norm leaves the float range,
-    and the coarse rows are scaled back on return."""
-    peak = float(np.max(np.abs(rows), initial=0.0))
-    unit = rows / peak if peak > 0.0 else rows
-    stacked = space.dilation_matrices.reshape(-1, space.dim)
-    sol, *_ = np.linalg.lstsq(stacked, unit.T, rcond=None)
-    if np.linalg.norm(stacked @ sol - unit.T) > 1e-9 * np.linalg.norm(unit):
-        return None
-    return sol.T * peak
-
-
 def _check_budget(space: PolySpace, level: int, budget: int) -> None:
     """Raise BudgetError when a level-d full tensor, b^d (m+1) elements,
     exceeds the budget."""
@@ -273,6 +275,33 @@ def _check_budget(space: PolySpace, level: int, budget: int) -> None:
 def _next_digit(space: PolySpace, c: np.ndarray) -> np.ndarray:
     """One more digit: rows c (..., m+1) to (..., b, m+1) with D_i c at i."""
     return np.tensordot(c, space.dilation_matrices, axes=(-1, 2))
+
+
+def _restrict(space: PolySpace, fine: np.ndarray) -> np.ndarray:
+    """One digit less, the adjoint of `_next_digit` over b: rows fine
+    (..., b, m+1) to (..., m+1) as (1/b) sum_i D_i^T fine_i.  The stacked
+    dilation matrices S have S^T S = b I, as sum_i ||g((. + i)/b)||^2 =
+    b ||g||^2, so this is the least-squares coarse row of `fine` and the L2
+    projection from level d+1 onto level d."""
+    return np.tensordot(fine, space.dilation_matrices,
+                        axes=([-2, -1], [0, 1])) / space.base
+
+
+def _coarser(space: PolySpace, siblings: np.ndarray):
+    """One digit less: the coarse rows c (n, m+1) whose dilation families
+    D_0 c, ..., D_(b-1) c are the sibling rows (n, b, m+1), or None when
+    the Frobenius norm of the residual of their `_restrict` exceeds 1e-9
+    times that of the rows.  Rows in any left-orthonormal basis give the
+    same answer, so a train's last two cores decide as its full tensor
+    does.  The rows are restricted at max |c| = 1, so no norm leaves the
+    float range, and the coarse rows are scaled back on return."""
+    peak = float(np.max(np.abs(siblings), initial=0.0))
+    unit = siblings / peak if peak > 0.0 else siblings
+    coarse = _restrict(space, unit)
+    if (np.linalg.norm(_next_digit(space, coarse) - unit)
+            > 1e-9 * np.linalg.norm(unit)):
+        return None
+    return coarse * peak
 
 
 def _unpack(raw: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
@@ -393,7 +422,7 @@ class TensorizedFunction:
         level, rows = self.level, self.cell_coeffs
         while level > 0:
             rows = _coarser(self.space,
-                            rows.reshape(-1, self.base * self.space.dim))
+                            rows.reshape(-1, self.base, self.space.dim))
             if rows is None:
                 break
             level -= 1

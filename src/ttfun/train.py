@@ -115,8 +115,11 @@ class TensorTrain:
     def round(self, tol: float) -> "TensorTrain":
         """Recompress by one canonical `_sweep` of the cores.
 
-        The L2 error is at most tol * ||self||_2; output ranks never exceed
-        input ranks.
+        The L2 error is at most sqrt(tol^2 + 1e-24 sum_nu r_nu) ||self||_2,
+        up to roundoff, with r_nu the input ranks: the d truncations share
+        tol, and each also drops the singular values at or below its floor
+        1e-12 s_1, at most r_nu of them.  Output ranks never exceed input
+        ranks.
         """
         cores, _ = _sweep(self.cores, [g.shape[1] for g in self.cores], tol)
         return TensorTrain(self.space, cores)
@@ -134,8 +137,7 @@ class TensorTrain:
         trims the merged bond."""
         cores = self.round(0.0).cores
         while len(cores) > 2:
-            rows = cores[-2] @ cores[-1][:, :, 0]
-            coarse = _coarser(self.space, rows.reshape(rows.shape[0], -1))
+            coarse = _coarser(self.space, cores[-2] @ cores[-1][:, :, 0])
             if coarse is None:
                 break
             cores = cores[:-2] + [coarse[:, :, None]]
@@ -194,9 +196,11 @@ def tt_svd(tf: TensorizedFunction, tol: float = 0.0) -> TensorTrain:
     """Left-to-right SVD steps over the full coefficient tensor: the
     `_sweep` of the one-core chain [tf.coeffs].
 
-    The represented tensor differs from tf by at most tol * ||tf||_2 in
-    the (scaled-Frobenius = L2) norm; tol=0 is exact up to roundoff and
-    yields the numerical prefix ranks.
+    The represented tensor differs from tf in the (scaled-Frobenius = L2)
+    norm by at most sqrt(tol^2 + 1e-24 sum_nu r_nu) ||tf||_2, up to
+    roundoff, as in `TensorTrain.round`, with r_nu = min(b^nu,
+    b^(d-nu) (m+1)) the sizes of the prefix unfoldings; tol=0 yields the
+    numerical prefix ranks.
     """
     if tf.level < 1:
         raise ValueError("tensor trains need level >= 1")

@@ -27,6 +27,20 @@ def test_error_curve_exact_function(space):
             assert [pt.level for pt in curve] == [3], (c, p)
 
 
+def test_error_curve_projects_f_once(space, space_b3):
+    """f is called on the b^d_ref cells of the reference only, 32 Gauss
+    points each: every candidate is restricted from that projection."""
+    for sp in (space, space_b3):
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.sqrt(x)
+
+        error_curve(f, sp, 2.0, "N", [2, 3, 5], [0.0, 1e-3])
+        assert sum(calls) == sp.base ** 7 * sp.quad_order
+
+
 def test_error_curve_monotone_envelope(space):
     f = lambda x: np.sin(2 * np.pi * np.asarray(x))
     curve = error_curve(f, space, 2.0, "C", [2, 3, 4, 5], [0.0, 1e-2, 1e-1])
@@ -63,7 +77,7 @@ def test_error_curve_measure_validation(space):
         return np.asarray(x)
 
     for p, measure in ((2.0, "bogus"), (0.0, "N"), (-1.0, "N"),
-                       (math.nan, "N")):
+                       (math.nan, "N"), (1e300, "N")):
         with pytest.raises(ValueError):
             error_curve(f, space, p, measure, [2], [0.0])
     assert calls == []

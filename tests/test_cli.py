@@ -140,6 +140,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         ("density", "--func", "indicator:0,1/3,1:inf,0"),
         ("density", "--func", "indicator:0,1/3,1:1,0", "--b", "1"),
         ("extend", "--func", "poly:0,1", "--d", "4", "--d-new", "2"),
+        ("sweep", "--func", "sqrt", "--d-grid", "2,3", "--tol-grid", "0",
+         "--p", "1e300"),
     ]
     bad_fields = ("poly:1,,2", "sin:x", "abs_power:a,1",
                   "indicator:0,1/2/3,1:1,0")
@@ -198,6 +200,20 @@ def test_sweep_csv_and_determinism(tmp_path):
     # exactly representable: the envelope ends at (near) zero error
     last_err = float(lines[-1].split(",")[4])
     assert last_err <= 1e-10
+
+
+def test_sweep_small_p_rows(capsys):
+    """At p = 1e-5 the reference norm overflowed to inf, so the envelope
+    was empty and the sweep printed only its header."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("sweep", "--func", "sqrt", "--d-grid", "2,3",
+                   "--tol-grid", "0,1e-3", "--p", "1e-5") == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows
+    errors = [float(row.split(",")[4]) for row in rows]
+    assert all(0.0 < e < 1e-3 for e in errors)
+    assert errors == sorted(errors, reverse=True)
 
 
 def test_verify_pass_and_json(tmp_path):

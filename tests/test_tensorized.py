@@ -1,5 +1,6 @@
 """Full coefficient tensors: construction, norms, ranks, level changes."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
                    corpus_functions, cp_from_tensorized, tt_svd)
 from ttfun.cli import parse_function_spec
-from ttfun.tensorized import _CHUNK, _WIDE, _svd_step, _sweep, _tsqr_r
+from ttfun.tensorized import (_CHUNK, _WIDE, _check_p, _coarser, _next_digit,
+                              _restrict, _svd_step, _sweep, _tsqr_r)
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -192,6 +194,37 @@ def test_lp_norm_exact_on_root_edge_cases(space):
         tf = TensorizedFunction(space, 0, c)
         for rep in (tf, tf.relevel_up(3)):
             assert abs(rep.lp_norm(1) - exact) <= 1e-13 * exact
+
+
+def test_lp_norm_small_p_against_closed_form(space):
+    """Small p: the sum of p-th powers over b^d cells is about b^d, whose
+    1/p-th power overflows (0.01 at d=12 gave inf); the norm of x + 1/2,
+    exact in the space, matches its closed form (int (x+1/2)^p)^(1/p)."""
+    tf3 = TensorizedFunction.tensorize(lambda x: x + 0.5, space, 3)
+    for tf in (tf3, tf3.relevel_up(12)):
+        for p in (1e-3, 0.01, 0.5):
+            exact = ((1.5 ** (p + 1) - 0.5 ** (p + 1)) / (p + 1)) ** (1 / p)
+            assert abs(tf.lp_norm(p) - exact) <= 1e-11 * exact, (tf.level, p)
+    # the limit p -> 0 of ||sqrt||_p is exp(int log sqrt) = e^(-1/2)
+    sqrt6 = TensorizedFunction.tensorize(np.sqrt, space, 6)
+    assert abs(sqrt6.lp_norm(1e-3) - np.exp(-0.5)) < 1e-3
+
+
+def test_lp_norm_gauss_order_limit():
+    """The Gauss order grows with p, so p past the limit of its degree is
+    a ValueError that names p and the limit, before any rule is built; at
+    m = 0 a two-point rule serves every p.  (A rule of about 1024 points
+    takes a second to build, so the limit itself is only checked.)"""
+    for m, top in ((1, 2045), (3, 681), (31, 65)):
+        _check_p(m, top)
+        tf = TensorizedFunction.tensorize(lambda x: x + 0.5,
+                                          PolySpace(m, 2), 2)
+        for p in (np.nextafter(top, np.inf), 1e300):
+            with pytest.raises(ValueError,
+                               match=rf"p = {re.escape(str(p))} .* p <= {top}$"):
+                tf.lp_norm(p)
+    const = TensorizedFunction.tensorize(lambda x: x + 0.5, PolySpace(0, 2), 2)
+    assert const.lp_norm(1e300) == const.lp_norm(np.inf) == 1.375
 
 
 def test_lp_norm_memory_bounded(space):
@@ -572,6 +605,57 @@ def test_minimal_level_generic(space, rng):
                                         PolySpace(3, 3), 6)
     for c in (1e-300, 1e-200, 1.0, 1e200, 1e300):
         assert both_levels(c * cos4) == (6, 6)
+
+
+@pytest.mark.parametrize("b, m", [(2, 0), (2, 3), (3, 1), (10, 5)])
+def test_restrict_is_adjoint_of_next_digit(b, m, rng):
+    """The stacked dilation matrices S have S^T S = b I, so `_restrict`
+    undoes `_next_digit` and is its adjoint over b."""
+    sp = PolySpace(m, b)
+    stacked = sp.dilation_matrices.reshape(-1, sp.dim)
+    assert np.max(np.abs(stacked.T @ stacked - b * np.eye(sp.dim))) <= 1e-14 * b
+    c = rng.standard_normal((2, 3, sp.dim))
+    assert (np.max(np.abs(_restrict(sp, _next_digit(sp, c)) - c))
+            <= 1e-14 * np.max(np.abs(c)))
+    fine = rng.standard_normal((2, 3, b, sp.dim))
+    assert np.isclose(np.sum(_next_digit(sp, c) * fine),
+                      b * np.sum(c * _restrict(sp, fine)), rtol=1e-13)
+
+
+def lstsq_coarser(space, siblings):
+    """The least-squares coarsening that `_restrict` replaced, as a
+    reference: the solve on rows scaled to max |c| = 1, or None past the
+    residual 1e-9 ||rows||."""
+    peak = float(np.max(np.abs(siblings), initial=0.0))
+    unit = (siblings / peak if peak > 0.0 else siblings).reshape(
+        siblings.shape[0], -1).T
+    stacked = space.dilation_matrices.reshape(-1, space.dim)
+    sol, *_ = np.linalg.lstsq(stacked, unit, rcond=None)
+    if np.linalg.norm(stacked @ sol - unit) > 1e-9 * np.linalg.norm(unit):
+        return None
+    return sol.T * peak
+
+
+@pytest.mark.parametrize("b, m", [(2, 0), (2, 3), (3, 1), (10, 5)])
+def test_coarser_matches_lstsq_reference(b, m, rng):
+    """On dilation families, families off by 1e-12 or 1e-6, random and zero
+    sibling rows, at scales 1 and 1e+-300: the same verdict as the
+    least-squares reference, and the same coarse rows to 1e-13."""
+    sp = PolySpace(m, b)
+    family = _next_digit(sp, rng.standard_normal((5, sp.dim)))
+    noise = rng.standard_normal(family.shape)
+    cases = [family, family + 1e-12 * noise, family + 1e-6 * noise, noise,
+             0.0 * noise]
+    verdicts = []
+    for rows in cases:
+        for c in (1.0, 1e300, 1e-300):
+            got, want = _coarser(sp, c * rows), lstsq_coarser(sp, c * rows)
+            assert (got is None) == (want is None), (b, m, c)
+            verdicts.append(got is not None)
+            if want is not None:
+                assert (np.max(np.abs(got - want))
+                        <= 1e-13 * np.max(np.abs(want)))
+    assert verdicts == [True] * 6 + [False] * 6 + [True] * 3
 
 
 def test_arithmetic(space):

@@ -335,8 +335,9 @@ def test_sweep_matches_qr_reference(space, rng):
     trains, their sum, extend_level(40) trains and a 500-level maxrank_pair
     sum, each scaled by 1, 1e-300 and 1e300: the ranks are equal, the
     rounded train is within (tol + 1e-13) ||f|| of the reference's (4e-14
-    ||f|| is the largest gap seen), and within (tol + 2e-12) ||f|| of f
-    (the 1e-12 floor of `round` drops up to 1.2e-12 ||f|| here)."""
+    ||f|| is the largest gap seen), within (tol + 2e-12) ||f|| of f (the
+    1e-12 floor of `round` drops up to 1.2e-12 ||f|| here) and within the
+    bound its docstring states, sqrt(tol^2 + 1e-24 sum_nu r_nu) ||f||."""
     def raw_train(level):
         ranks = [1] + [int(k) for k in rng.integers(1, 5, size=level)] + [1]
         return TensorTrain(space, [
@@ -361,8 +362,9 @@ def test_sweep_matches_qr_reference(space, rng):
                 assert got.ranks == want.ranks
                 assert (log2_norm(got + -want) - log_f
                         <= math.log2(tol + 1e-13))
-                assert (log2_norm(got + -f) - log_f
-                        <= math.log2(tol + 2e-12))
+                gap = log2_norm(got + -f) - log_f
+                assert gap <= math.log2(tol + 2e-12)
+                assert gap <= 0.5 * math.log2(tol**2 + 1e-24 * sum(f.ranks))
                 if tol > 0.0:
                     spectra = reference_sweep(f.cores, modes, 0.0,
                                               1e-3 * tol)[1]
