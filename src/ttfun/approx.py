@@ -10,7 +10,7 @@ import numpy as np
 
 from .localspace import PolySpace
 from .tensorized import (DEFAULT_BUDGET, TensorizedFunction, _check_p,
-                         _restrict)
+                         _restrict, _unit)
 from .train import (CPRep, TensorTrain, complexity, cost_cp, cost_sparse,
                     cp_to_tt, maxrank_growth, maxrank_pair, tt_svd)
 
@@ -105,17 +105,13 @@ def class_seminorm(curve, alpha: float, q: float, n_max: int
         raise ValueError("curve must be nonempty")
     ns = np.array([pt.n for pt in pts])
     errs = np.minimum.accumulate([pt.error for pt in pts])
-
-    def E(n):
-        idx = np.searchsorted(ns, n, side="right") - 1
-        return errs[max(idx, 0)]
-
-    terms = np.array([float(n) ** alpha * E(n - 1)
-                      for n in range(1, n_max + 1)])
+    n = np.arange(1, n_max + 1)
+    idx = np.maximum(np.searchsorted(ns, n - 1, side="right") - 1, 0)
+    terms = n.astype(float) ** alpha * errs[idx]
     if np.isinf(q):
         value = float(terms.max())
     else:
-        weights = 1.0 / np.arange(1, n_max + 1)
+        weights = 1.0 / n
         value = float(np.sum(terms**q * weights) ** (1.0 / q))
     return ClassSeminormEstimate(alpha, q, value, n_max)
 
@@ -143,7 +139,8 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
     down to the level-d grid gives the closest aligned staircase, whose
     L^p error has the closed form sum |a_i - a_{i+1}|^p (x_{i+1} - x_{i+1}^d)
     and sits below the 2^p b^-d envelope.  Levels where b^-d underflows to
-    0.0 report error 0.
+    0.0 report error 0.  The sums run on `_unit` values and jumps, and an
+    error_p or bound_p past the float range raises ValueError.
     """
     x, a = staircase_steps(breakpoints, values)
     if b < 2:
@@ -152,22 +149,30 @@ def density_sweep(breakpoints, values, b: int, p: float, d_max: int
         raise ValueError(f"p must be positive and finite, got {p}")
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    envelope_mass = sum(abs(v) ** p for v in a)
-    jumps = [abs(a[i] - a[i + 1]) for i in range(len(a) - 1)]
+    unit, top = _unit(np.array(a))
+    jumps, jtop = _unit(np.abs(np.diff(unit)))
+    mass = float(np.sum(np.abs(unit) ** p))
+    # error_p = (top jtop)^p err and bound_p = (2 top)^p mass b^-d
+    log_jump, log_two = (math.log(top) + math.log(jtop),
+                         math.log(top) + math.log(2.0))
+
+    def scaled(log_scale, value, root=1.0):  # exp(log_scale) value^(1/root)
+        log_value = log_scale + math.log(value) / root if value else -math.inf
+        if log_value > math.log(np.finfo(float).max):
+            raise ValueError(f"density at p = {p} leaves the float range")
+        return math.exp(log_value)
+
     rows = []
     for d in range(1, d_max + 1):
         h = float(b) ** -d
-        err_p = 0.0
-        for i, jump in enumerate(jumps):
-            if h > 0.0:  # x - x^d, exact when h is a power of two
-                err_p += jump**p * math.fmod(x[i + 1], h)
-        bound = 2.0**p * envelope_mass * h
+        # x - x^d, exact when h is a power of two
+        err = float(jumps ** p @ np.fmod(x[1:-1], h)) if h > 0.0 else 0.0
         rows.append({
             "d": d,
-            "error_p": err_p,
-            "error": err_p ** (1.0 / p),
-            "bound_p": bound,
-            "within_bound": err_p <= bound * (1 + 1e-12),
+            "error_p": scaled(p * log_jump, err),
+            "error": scaled(log_jump, err, p),
+            "bound_p": scaled(p * log_two - d * math.log(b), mass),
+            "within_bound": (jtop / 2) ** p * err <= mass * h * (1 + 1e-12),
         })
     logs = [(r["d"], math.log(r["error"])) for r in rows if r["error"] > 0]
     slope = None

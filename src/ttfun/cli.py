@@ -26,6 +26,11 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, no usage text
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",")]
 
@@ -119,7 +124,7 @@ def _spec_function(kind: str, fields: list[str]):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ttfun")
+    parser = _Parser(prog="ttfun")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_d=True, projects=True):
@@ -258,13 +263,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit:  # --help
+        return 0
     except (BudgetError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

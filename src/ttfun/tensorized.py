@@ -72,26 +72,41 @@ def _check_p(degree: int, p: float) -> None:
                          f"points; degree {degree} allows p <= {top}")
 
 
+def _peak(a: np.ndarray) -> float:
+    """max |a| as max(a.max(), -a.min()): no |a| temporary is formed."""
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+
+
+def _unit(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The one scale rule: a / max|a| and max|a| (a and 1.0 if a is 0)."""
+    top = _peak(a)
+    return (a / top, top) if top > 0.0 else (a, 1.0)
+
+
+def _safe(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """`_unit(a)` if max |a| is outside 2^+-480, else (a, 1.0) uncopied:
+    inside, the squares of up to 2^60 entries sum to a finite normal float."""
+    return (a, 1.0) if 2.0**-480 < _peak(a) < 2.0**480 else _unit(a)
+
+
 def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
     """Broken W^{k,p} seminorm (L^p norm for k = 0) of the cell rows `flat`
     (n, m+1): (sum_j b^{d(kp-1)} ||p_j^(k)||_p^p)^{1/p}, and b^{dk} max_j
-    ||p_j^(k)||_inf for p = inf.  The rows are scaled to max |c| = 1 before
-    the derivative, and the sum S of p-th powers enters log space as
-    (log S - d log b) / p, the difference taken first so that the two large
-    terms of a small p do not cancel; the result is inf only when it leaves
-    the float range."""
+    ||p_j^(k)||_inf for p = inf.  The rows go through `_unit` first, and the
+    sum S of p-th powers enters log space as (log S - d log b) / p, the
+    difference taken first so that the two large terms of a small p do not
+    cancel; the result is inf only when it leaves the float range."""
     _check_p(space.degree, p)
-    scale = float(np.max(np.abs(flat), initial=0.0))
-    unit = flat / scale if scale > 0.0 else flat
+    unit, scale = _unit(flat)
     if k:
         unit = space.differentiate(unit, k)
     log_b = math.log(space.base)
     if np.isinf(p):  # the sup itself: S = sup, no b^-d, power 1
         total, shift, p = _sup_abs(space, unit), 0.0, 1.0
-    else:
-        total = float(np.sum(unit * unit) if p == 2 else
-                      np.sum(_abs_power_cell_integrals(space, unit, p)))
-        shift = level * log_b
+    else:  # S = top^p total
+        cells, top = ((unit * unit, 1.0) if p == 2 else
+                      _abs_power_cell_integrals(space, unit, p))
+        total, shift = float(np.sum(cells)), level * log_b - p * math.log(top)
     if total == 0.0:
         return 0.0
     with np.errstate(over="ignore"):
@@ -104,15 +119,15 @@ def _sup_abs(space: PolySpace, flat) -> float:
     sqrt(2k+1) (as |L_k| <= sqrt(2k+1)) exceeds the best endpoint value
     can hold a larger interior maximum, so only they reach `max_abs`."""
     ends = flat @ legendre_values(space.degree, np.array([0.0, 1.0]))
-    best = float(np.max(np.abs(ends)))
+    best = _peak(ends)
     rest = flat[np.abs(flat) @ basis_sup(space.degree) > best]
     for s in range(0, rest.shape[0], _BLOCK):
         best = max(best, float(np.max(space.max_abs(rest[s:s + _BLOCK]))))
     return best
 
 
-def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
-    """Per-cell integrals of |p_j|^p over the reference interval.
+def _abs_power_cell_integrals(space: PolySpace, flat, p: float):
+    """Per-cell integrals of |p_j / top|^p, top the `_unit` scale of the nodes.
 
     A cell with |c_0| >= sum_{k>=1} |c_k| sqrt(2k+1) keeps one sign and
     gets a single Gauss rule, exact for integer p.  Every other cell is
@@ -122,7 +137,8 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
     m = space.degree
     nq = max((m * math.ceil(p) + 2) // 2 + 1, m + 2)
     yq, wq = space.gauss_rule(nq)
-    out = np.abs(flat @ legendre_values(m, yq)) ** p @ wq
+    vals, top = _unit(flat @ legendre_values(m, yq))
+    out = np.abs(vals) ** p @ wq
     bound = np.abs(flat[:, 1:]) @ basis_sup(m)[1:]
     mixed = np.nonzero(np.abs(flat[:, 0]) < bound)[0]
     for s in range(0, mixed.size, _BLOCK):
@@ -132,9 +148,9 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float) -> np.ndarray:
                        constant_values=(0.0, 1.0))
         width = np.diff(edges, axis=1)  # (n, m+1) pieces
         ys = edges[:, :-1, None] + width[..., None] * yq
-        vals = np.einsum("nk,knsq->nsq", c, legendre_values(m, ys))
+        vals = np.einsum("nk,knsq->nsq", c, legendre_values(m, ys)) / top
         out[cells] = np.sum(width * (np.abs(vals) ** p @ wq), axis=1)
-    return out
+    return out, top
 
 
 # A sweep step is wide when its matrix has at least _WIDE times more
@@ -208,10 +224,11 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     matrix.  So a step holds its input and its carry, both as large as the
     tensor while the ranks grow by a factor b, and little more.
 
-    Scale is handled here only: each pushed factor is divided by its s[0]
-    and the first left-to-right step divides by the norm.  The product of
-    these scales is kept as a mantissa and a base-2 exponent (its log), so
-    nothing overflows at any depth or magnitude.  It goes back exactly: the
+    Scale is handled here only: the last core (all of a full tensor) goes
+    through `_safe`, each pushed factor is divided by its s[0] and the
+    first left-to-right step divides by the norm.  The product of these
+    scales is kept as a mantissa and a base-2 exponent, so nothing
+    overflows at any depth or magnitude.  It goes back exactly: the
     exponent is spread evenly over the cores and the mantissa multiplies
     the first (an exp of the summed logs would cost |log scale| ulps, 1e-13
     relative at 1e300).  A zero tensor gets all-zero cores."""
@@ -220,8 +237,8 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     delta = tol / math.sqrt(max(len(modes) - 1, 1))
     # rest holds the right-orthonormal chain[1:] in pop order, so that
     # each is freed once contracted
-    core, rest = chain[-1], []
-    mant, expo = 1.0, 0  # the product of the scales, mant * 2**expo
+    (core, top), rest = _safe(chain[-1]), []
+    mant, expo = math.frexp(top)  # the product of the scales, mant * 2**expo
     for left in chain[-2::-1]:  # untruncated steps: delta 0, no floor
         u, sv, s, _ = _svd_step(core.reshape(core.shape[0], -1).T, 1.0,
                                 0.0, -1.0)
@@ -283,8 +300,9 @@ def _restrict(space: PolySpace, fine: np.ndarray) -> np.ndarray:
     dilation matrices S have S^T S = b I, as sum_i ||g((. + i)/b)||^2 =
     b ||g||^2, so this is the least-squares coarse row of `fine` and the L2
     projection from level d+1 onto level d."""
-    return np.tensordot(fine, space.dilation_matrices,
-                        axes=([-2, -1], [0, 1])) / space.base
+    unit, top = _safe(fine)
+    return np.tensordot(unit, space.dilation_matrices,
+                        axes=([-2, -1], [0, 1])) / space.base * top
 
 
 def _coarser(space: PolySpace, siblings: np.ndarray):
@@ -293,10 +311,8 @@ def _coarser(space: PolySpace, siblings: np.ndarray):
     the Frobenius norm of the residual of their `_restrict` exceeds 1e-9
     times that of the rows.  Rows in any left-orthonormal basis give the
     same answer, so a train's last two cores decide as its full tensor
-    does.  The rows are restricted at max |c| = 1, so no norm leaves the
-    float range, and the coarse rows are scaled back on return."""
-    peak = float(np.max(np.abs(siblings), initial=0.0))
-    unit = siblings / peak if peak > 0.0 else siblings
+    does.  The rows go through `_unit`, so no norm leaves the float range."""
+    unit, peak = _unit(siblings)
     coarse = _restrict(space, unit)
     if (np.linalg.norm(_next_digit(space, coarse) - unit)
             > 1e-9 * np.linalg.norm(unit)):

@@ -69,6 +69,8 @@ def test_error_curve_measure_validation(space):
         error_curve(lambda x: np.asarray(x), space, 2.0, "R", [2], [0.0])
     with pytest.raises(ValueError):
         error_curve(lambda x: np.asarray(x), space, 2.0, "N", [], [0.0])
+    with pytest.raises(ValueError, match="grid levels must be >= 1"):
+        error_curve(lambda x: np.asarray(x), space, 2.0, "N", [0, 2], [0.0])
     # a bad measure or p is rejected before f is projected at all
     calls = []
 
@@ -101,6 +103,13 @@ def test_class_seminorm_synthetic_rate():
             for n in (10, 100, 1000)]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] / vals[0] > 8.0
+    # finite q: the terms n E(n-1) for n = 1..4 are 1, 2, 3, 2, so the
+    # sums of terms^q / n are 3.5 at q = 1 and 7 at q = 2
+    steps = [ErrorCurvePoint(1, "N", 1.0, 1, (1,), 2.0),
+             ErrorCurvePoint(3, "N", 0.5, 1, (1,), 2.0)]
+    assert class_seminorm(steps, 1.0, 1.0, 4).value == pytest.approx(3.5)
+    assert class_seminorm(steps, 1.0, 2.0, 4).value == pytest.approx(
+        math.sqrt(7.0))
 
 
 def test_class_seminorm_validation():
@@ -115,6 +124,8 @@ def test_class_seminorm_validation():
         class_seminorm(curve, 1.0, math.nan, 10)
     with pytest.raises(ValueError):
         class_seminorm([], 1.0, 2.0, 10)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        class_seminorm(curve, 1.0, 2.0, 0)
 
 
 def test_density_aligned_breakpoints_exact():
@@ -136,6 +147,18 @@ def test_density_staircase_slope():
     rows = density_sweep([0.0, 0.3, 0.7, 1.0], [1.0, 2.0, 0.5], 2, 1.0, 14)
     slope = rows[0]["slope"]
     assert abs(slope - (-math.log(2.0))) <= 0.1 * math.log(2.0)
+
+
+def test_density_values_at_the_top_of_the_float_range():
+    """A jump of 2e308 from 1e308 to -1e308 overflowed to an error of inf;
+    in scaled form the error is 2e308 (x - x^d), finite, within its bound,
+    and it decays like 3^-d."""
+    rows = density_sweep([0.0, 0.5, 1.0], [1e308, -1e308], 3, 1.0, 3)
+    for r, frac in zip(rows, (1 / 6, 1 / 18, 1 / 54)):
+        assert r["error"] == pytest.approx(1e308 * (2 * frac), rel=1e-12)
+        assert r["error_p"] == pytest.approx(r["error"], rel=1e-12)
+        assert r["within_bound"] and np.isfinite(r["bound_p"])
+    assert rows[0]["slope"] == pytest.approx(-math.log(3.0), rel=1e-9)
 
 
 def test_density_validation():
@@ -160,6 +183,10 @@ def test_density_validation():
                  ([0.0, 0.5, 1.0], [1.0, math.nan])):
         with pytest.raises(ValueError):
             density_sweep(x, a, 2, 1.0, 4)
+    # error_p or bound_p itself past the float range
+    for a, p in (([1e308, -1e308], 1.0), ([10.0, 0.0], 400.0)):
+        with pytest.raises(ValueError, match=f"p = {p} leaves the float"):
+            density_sweep([0.0, 1.0 / 3.0, 1.0], a, 2, p, 2)
 
 
 def test_corpus_functions_cover_cases():

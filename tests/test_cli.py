@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from ttfun import TensorTrain, TensorizedFunction
-from ttfun.cli import SPEC_FORMS, main, parse_function_spec
+from ttfun.cli import SPEC_FORMS, entry, main, parse_function_spec
 
 
 def run(*argv):
@@ -123,6 +125,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
     and one `error:` line, never a traceback or a numpy warning."""
     nan_rows = tmp_path / "nan.csv"
     nan_rows.write_text("0,1\n0.5,nan\n1,2\n")
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("x,y\n0.5,1\n")
     cases = [
         ("tensorize", "--func", "sin:nan", "--d", "2"),
         ("tensorize", "--func", f"samples:{nan_rows}", "--d", "2"),
@@ -142,6 +146,12 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         ("extend", "--func", "poly:0,1", "--d", "4", "--d-new", "2"),
         ("sweep", "--func", "sqrt", "--d-grid", "2,3", "--tol-grid", "0",
          "--p", "1e300"),
+        ("tensorize", "--func", f"samples:{one_row}", "--d", "2"),
+        ("density", "--func", "indicator:0,1/3,1:10,0", "--p", "400"),
+        ("density", "--func", "indicator:0,1/3,1:1e308,-1e308",
+         "--d-max", "2", "--p", "1"),
+        ("tensorize", "--func", "poly:1", "--d", "2", "--b", "1e308"),
+        ("nonsense",),
     ]
     bad_fields = ("poly:1,,2", "sin:x", "abs_power:a,1",
                   "indicator:0,1/2/3,1:1,0")
@@ -156,6 +166,9 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
         err = errs[argv] = capsys.readouterr().err
         assert "Traceback" not in err
         assert sum("error:" in line for line in err.splitlines()) == 1, argv
+    assert all(len(errs[argv].splitlines()) == 1 for argv in cases)
+    density = [err for argv, err in errs.items() if argv[0] == "density"]
+    assert "p = 400" in density[-2] and "p = 1.0" in density[-1]
     # the message names the field at fault, the spec and its form
     assert "1/0" in errs[cases[2]]
     for spec in bad_fields:
@@ -175,6 +188,107 @@ def test_density_deep_rows_finite(capsys):
         assert all(np.isfinite(float(v)) for r in rows for v in r[1:4])
         assert all(r[4] == "1" for r in rows)
         assert float(rows[-1][1]) == 0.0
+
+
+def test_values_at_the_top_of_the_float_range(capsys):
+    """b^(d/2) ||f||_2 past 1.8e308: the sweep and the restriction work at
+    max |c| = 1, so the ranks are those of a constant and the sweep's
+    errors sit at the roundoff floor, with no warning."""
+    cases = [(("ranks", "--func", "poly:1e306", "--d", "16"),
+              ["nu,r_nu"] + [f"{nu},1" for nu in range(1, 17)]),
+             (("tensorize", "--func", "indicator:0,1:1e308", "--b", "10",
+               "--m", "31", "--d", "1"), ["norm_l2=1e+308", "ranks=1"]),
+             (("tensorize", "--func", "poly:1e308", "--b", "4", "--d", "2"),
+              ["norm_l2=1e+308", "ranks=1,1"])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, want in cases:
+            assert run(*argv) == 0, argv
+            out = capsys.readouterr()
+            assert out.out.splitlines() == want and not out.err, argv
+        assert run("sweep", "--func", "poly:1e308", "--d-grid", "2,3",
+                   "--tol-grid", "0,1e-3") == 0
+    out = capsys.readouterr()
+    rows = out.out.strip().splitlines()[1:]
+    assert rows and not out.err
+    assert all(0.0 < float(r.split(",")[4]) < 1e295 for r in rows)
+
+
+# Edge values of every numeric option and spec field.
+_FUZZ_EDGES = ("0", "1e308", "-1e308", "1e-320", "nan", "inf")
+
+
+def _fuzz_vectors(rng, samples, count):
+    """`count` argument vectors, each option a typical value, or with
+    probability 0.3 a value of _FUZZ_EDGES too.  Levels stay <= 8, verify
+    <= 3 levels and 2 pairs, and a valid --p <= 50, so every run is cheap."""
+    def pick(*typical):
+        pool = typical + _FUZZ_EDGES if rng.random() < 0.3 else typical
+        return pool[rng.integers(len(pool))]
+
+    def num():
+        return pick("1", "-2", "0.5", "3")
+
+    def spec():
+        return (lambda: "poly:" + ",".join(num() for _ in
+                                           range(rng.integers(1, 4))),
+                lambda: f"sin:{num()}",
+                lambda: f"abs_power:{num()},{num()}",
+                lambda: "sqrt",
+                lambda: f"indicator:0,{pick('1/3', '0.5')},1:{num()},{num()}",
+                lambda: f"samples:{samples}")[rng.integers(6)]()
+
+    def space():
+        return ["--b", pick("2", "3"), "--m", pick("0", "1", "3"),
+                "--budget", pick("1000000")]
+
+    commands = (
+        lambda: ["tensorize", "--func", spec(),
+                 "--d", pick("0", "1", "2", "5")] + space(),
+        lambda: ["ranks", "--func", spec(), "--d", pick("1", "3", "6"),
+                 "--tol", pick("1e-10", "1e-3", "0.5")] + space(),
+        lambda: ["sweep", "--func", spec(), "--d-grid", pick("1", "2,3", "4"),
+                 "--tol-grid", pick("0", "0,1e-3", "0.5"),
+                 "--p", pick("1", "2", "inf", "0.5", "3", "50"),
+                 "--measure", pick("N", "C", "S", "rmax")] + space(),
+        lambda: ["verify", "--b", pick("2", "3"), "--m", pick("0", "1"),
+                 "--d-max", pick("2", "3"), "--pairs", pick("1", "2"),
+                 "--seed", pick("0", "1")],
+        lambda: ["density", "--func",
+                 f"indicator:0,{pick('1/3', '0.5', '0.7')},1:{num()},{num()}",
+                 "--b", pick("2", "3"), "--d-max", pick("1", "4", "8"),
+                 "--p", pick("1", "2", "0.5", "3", "50")],
+        lambda: ["extend", "--func", spec(), "--d", pick("1", "2", "3"),
+                 "--d-new", pick("4", "8"),
+                 "--tol", pick("0", "1e-12", "1e-3")] + space())
+    return [commands[rng.integers(len(commands))]() for _ in range(count)]
+
+
+def test_cli_fuzz(tmp_path, capsys):
+    """A fixed-seed fuzz of every subcommand: each vector exits 0, 1 or 2
+    with no warning; an exit 2 prints exactly one line, and an exit 0 or 1
+    prints no nan or inf, apart from the p column of an L^inf sweep."""
+    samples = tmp_path / "big.csv"
+    samples.write_text("0,1\n0.5,1e308\n1,-1e308\n")
+    for argv in _fuzz_vectors(np.random.default_rng(2), samples, 240):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv)
+        assert not caught, (argv, str(caught[0].message))
+        assert code in (0, 1, 2), argv
+        out = capsys.readouterr()
+        if code == 2:
+            assert len(out.err.splitlines()) == 1, (argv, out.err)
+            continue
+        text = out.out
+        if argv[0] == "sweep":  # drop the p column
+            text = "\n".join(re.sub(r"^([^,]*,[^,]*,[^,]*),[^,]*", r"\1", row)
+                             for row in text.splitlines())
+        for token in re.findall(r"[^\s,|:\"\[\]{}]+", text):
+            try:
+                assert np.isfinite(float(token)), (argv, token)
+            except ValueError:
+                pass
 
 
 def test_ranks_command(tmp_path):
@@ -242,8 +356,12 @@ def test_density_command(tmp_path):
     assert len(lines) == 11
 
 
-def test_density_needs_indicator():
+def test_density_needs_indicator(monkeypatch):
     assert run("density", "--func", "poly:1") == 2
+    # the console script exits with main's code
+    monkeypatch.setattr(sys, "argv", ["ttfun", "density", "--func", "poly:1"])
+    with pytest.raises(SystemExit, match="2"):
+        entry()
 
 
 def test_extend_command(tmp_path, capsys):

@@ -301,3 +301,5 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="32"):
         PolySpace(32, 2)
     assert PolySpace(31, 2).quad_order == 32
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        PolySpace(2, 2).differentiate(np.ones(3), -1)

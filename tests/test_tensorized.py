@@ -142,6 +142,8 @@ def test_negative_level_rejected(space):
         TensorizedFunction.tensorize(lambda x: np.asarray(x), space, -1)
     with pytest.raises(ValueError):
         TensorizedFunction(space, -1, np.zeros(space.dim))
+    with pytest.raises(ValueError, match="coefficient shape"):
+        TensorizedFunction(space, 1, np.zeros((3, space.dim)))
 
 
 def test_lp_norm_constant(space):
@@ -199,7 +201,9 @@ def test_lp_norm_exact_on_root_edge_cases(space):
 def test_lp_norm_small_p_against_closed_form(space):
     """Small p: the sum of p-th powers over b^d cells is about b^d, whose
     1/p-th power overflows (0.01 at d=12 gave inf); the norm of x + 1/2,
-    exact in the space, matches its closed form (int (x+1/2)^p)^(1/p)."""
+    exact in the space, matches its closed form (int (x+1/2)^p)^(1/p).
+    Large p: the node values go through `_unit`, so |x|^2000 does not
+    overflow (it gave inf) and ||x||_2000 is (1/2001)^(1/2000)."""
     tf3 = TensorizedFunction.tensorize(lambda x: x + 0.5, space, 3)
     for tf in (tf3, tf3.relevel_up(12)):
         for p in (1e-3, 0.01, 0.5):
@@ -208,6 +212,9 @@ def test_lp_norm_small_p_against_closed_form(space):
     # the limit p -> 0 of ||sqrt||_p is exp(int log sqrt) = e^(-1/2)
     sqrt6 = TensorizedFunction.tensorize(np.sqrt, space, 6)
     assert abs(sqrt6.lp_norm(1e-3) - np.exp(-0.5)) < 1e-3
+    line = TensorizedFunction(PolySpace(1, 2), 0, [0.5, 0.5 / np.sqrt(3.0)])
+    exact = (1.0 / 2001.0) ** (1.0 / 2000.0)
+    assert abs(line.lp_norm(2000) - exact) <= 1e-14 * exact
 
 
 def test_lp_norm_gauss_order_limit():
@@ -279,6 +286,8 @@ def test_lp_norm_domain_error(space):
     for bad in (tf.lp_norm, lambda p: tf.sobolev_seminorm(1, p)):
         with pytest.raises(ValueError, match="p must be positive"):
             bad(np.nan)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        tf.sobolev_seminorm(-1, 2)
 
 
 def test_sobolev_constant_vanishes(space):
@@ -350,7 +359,8 @@ def unfolding_ranks(tf, tol):
 def test_rank_profile_matches_unfolding_svds(b):
     """The full tensor's profile and the profile of its train, built with
     a sweep floor of 1e-3 * tol, against one SVD per unfolding; scaling
-    the tensor far outside sqrt(float range) leaves them unchanged."""
+    the tensor far outside sqrt(float range), or to max |c| = 1e307, where
+    b^(d/2) ||f||_2 passes 1.8e308, leaves them unchanged."""
     for m in (0, 1, 3):
         space = PolySpace(m, b)
         cases = [TensorizedFunction(space, 0, np.arange(1.0, m + 2.0)),
@@ -361,7 +371,10 @@ def test_rank_profile_matches_unfolding_svds(b):
         for tf in cases:
             for tol in (1e-10, 1e-6, 1e-13):
                 want = unfolding_ranks(tf, tol)
-                scaled = (1e-200 * tf, 1e300 * tf) if tol == 1e-6 else ()
+                top = np.max(np.abs(tf.coeffs))
+                scaled = ((1e-200 * tf, 1e300 * tf,
+                           1e307 * (tf * (1.0 / top)))
+                          if tol == 1e-6 and top else ())
                 for g in (tf,) + scaled:
                     assert g.rank_profile(tol).ranks == want
                     if g.level:
@@ -620,6 +633,11 @@ def test_restrict_is_adjoint_of_next_digit(b, m, rng):
     fine = rng.standard_normal((2, 3, b, sp.dim))
     assert np.isclose(np.sum(_next_digit(sp, c) * fine),
                       b * np.sum(c * _restrict(sp, fine)), rtol=1e-13)
+    # at the top of the float range the sums of the contraction stay finite
+    big = 1e308 / np.max(np.abs(fine))
+    assert (np.max(np.abs(_restrict(sp, big * fine) / big
+                          - _restrict(sp, fine)))
+            <= 1e-14 * np.max(np.abs(fine)))
 
 
 def lstsq_coarser(space, siblings):
@@ -668,6 +686,11 @@ def test_arithmetic(space):
     assert abs((2.0 * a)(0.25) - 0.5) < 1e-12
     with pytest.raises(ValueError):
         a + TensorizedFunction.tensorize(lambda x: np.asarray(x), space, 4)
+    with pytest.raises(ValueError, match="incompatible local spaces"):
+        a + TensorizedFunction.tensorize(lambda x: np.asarray(x),
+                                         PolySpace(3, 3), 3)
+    with pytest.raises(TypeError):
+        a + 1
 
 
 def test_save_load_roundtrip(space, tmp_path):

@@ -33,6 +33,8 @@ def test_tt_svd_zero(space):
     tt = tt_svd(tf, 0.0)
     assert tt.is_zero()
     assert tt.ranks == (1, 1, 1)
+    with pytest.raises(ValueError, match="level >= 1"):
+        tt_svd(TensorizedFunction(space, 0, np.zeros(space.dim)), 0.0)
 
 
 def test_tt_svd_lossy(space, rng):
@@ -235,6 +237,8 @@ def test_add_incompatible(space, space_b3):
     b = zero_train(space_b3, 2)
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(TypeError):
+        a + 1
 
 
 # -- rounding --------------------------------------------------------------
@@ -648,6 +652,10 @@ def test_cp_validation(space):
         CPRep(space, [np.zeros((2, 2))])
     with pytest.raises(ValueError):
         CPRep(space, [np.zeros((3, 2)), np.zeros((space.dim, 2))])
+    with pytest.raises(ValueError, match="CP rank must be >= 1"):
+        CPRep(space, [np.zeros((2, 0)), np.zeros((space.dim, 0))])
+    with pytest.raises(ValueError, match="coefficient factor shape"):
+        CPRep(space, [np.zeros((2, 2)), np.zeros((space.dim + 1, 2))])
 
 
 def test_cp_from_tensorized_roundtrip(space, rng):
@@ -656,6 +664,9 @@ def test_cp_from_tensorized_roundtrip(space, rng):
     assert cp.rank <= 2**3
     xs = rng.uniform(0.0, 1.0, size=100)
     assert np.max(np.abs(cp(xs) - tf(xs))) < 1e-11
+    # the zero tensor keeps one (zero) term, as a CP needs rank >= 1
+    zero = cp_from_tensorized(0.0 * tf)
+    assert zero.rank == 1 and np.all(zero(xs) == 0.0)
 
 
 # -- complexity ------------------------------------------------------------
