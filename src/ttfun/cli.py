@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -263,6 +264,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -1e-3 or -1,2 for an option; every
+    # option here takes a value, so `--p -1e-3` is read as `--p=-1e-3`
+    for i in range(len(argv) - 1, 0, -1):
+        if (argv[i - 1].startswith("--") and "=" not in argv[i - 1]
+                and re.match(r"-[\d.]", argv[i])):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)

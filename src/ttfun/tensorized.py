@@ -92,12 +92,13 @@ def _safe(a: np.ndarray) -> tuple[np.ndarray, float]:
 def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
     """Broken W^{k,p} seminorm (L^p norm for k = 0) of the cell rows `flat`
     (n, m+1): (sum_j b^{d(kp-1)} ||p_j^(k)||_p^p)^{1/p}, and b^{dk} max_j
-    ||p_j^(k)||_inf for p = inf.  The rows go through `_unit` first, and the
-    sum S of p-th powers enters log space as (log S - d log b) / p, the
+    ||p_j^(k)||_inf for p = inf.  The rows go through `_unit` first (the
+    L^2 norm's through `_safe`, uncopied inside 2^+-480), and
+    the sum S of p-th powers enters log space as (log S - d log b) / p, the
     difference taken first so that the two large terms of a small p do not
     cancel; the result is inf only when it leaves the float range."""
     _check_p(space.degree, p)
-    unit, scale = _unit(flat)
+    unit, scale = (_safe if p == 2 and not k else _unit)(flat)
     if k:
         unit = space.differentiate(unit, k)
     log_b = math.log(space.base)
@@ -180,14 +181,16 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     and divides by it; later steps get a carry divided already.  The kept
     rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
     rel_floor * s[0] (none of a nonzero mat if rel_floor < 0), is at least
-    1 and is found on Python floats.  Returns u[:, :r], the carry u[:, :r].T @ mat (over
-    the norm), s and the norm.
+    1 and is found on Python floats.  Returns u[:, :r], the carry
+    u[:, :r].T @ mat (over the norm), s and the norm.
 
-    A wide step (cols >= _WIDE * rows: the first steps of a full tensor,
-    and in a train only a bond far wider than the one before it) takes u
-    and s from the SVD of the small R.T of mat.T = QR (Chan 1982), found
-    by `_tsqr_r`, so no vt as large as the matrix is formed.  Unlike the
-    Gram matrix mat @ mat.T, R resolves s far below 1e-8 s[0]."""
+    A wide step (cols >= _WIDE * rows) takes u and s from the SVD of the
+    small R.T of mat.T = QR (Chan 1982), found by `_tsqr_r`, so no vt as
+    large as the matrix is formed.  Unlike the Gram matrix mat @ mat.T, R
+    resolves s far below 1e-8 s[0].  In the sweep of a full tensor the
+    wide steps are the first steps on the R.T of its leading block (or the
+    first step, if no block forms) and the later steps while the ranks
+    stay small; in a train only a bond far wider than the one before it."""
     wide = mat.shape[1] >= _WIDE * mat.shape[0]
     u, s, _ = np.linalg.svd(_tsqr_r(mat).T if wide else mat,
                             full_matrices=False)
@@ -219,10 +222,16 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     cores of a train and each step's spectrum over the norm.
 
     On the chain [coeffs] the first steps factor (r b, N) matrices with a
-    few rows and N up to b^d (m+1).  `_svd_step` takes those wide steps by
-    TSQR, which copies one chunk at a time, and one SVD of an (r b, r b)
-    matrix.  So a step holds its input and its carry, both as large as the
-    tensor while the ranks grow by a factor b, and little more.
+    few rows and N up to b^d (m+1).  The leading k >= 2 modes whose
+    unfolding X (b^k rows, at most _WIDE, over N / b^k) is still wide form
+    one block: one `_tsqr_r` gives X = R.T Q.T with Q orthonormal, so the
+    k steps run on the small (b^k, b^k) matrix R.T and see the prefix
+    spectra, norm and truncations of X.  Every carry is u.T @ mat, so the
+    carry after the block is formed once as L.T X / norm, L the (b^k, r_k)
+    product of the block's cores; R, singular for a low-rank tensor, is
+    never inverted.  The block thus reads the tensor twice in all and
+    holds, besides the tensor, one TSQR chunk and the carry, r_k / b^k of
+    the tensor.  Later wide steps take their own TSQR in `_svd_step`.
 
     Scale is handled here only: the last core (all of a full tensor) goes
     through `_safe`, each pushed factor is divided by its s[0] and the
@@ -250,12 +259,24 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
         rest.append(u.T)
         core = left @ sv.T
     cores, spectra, norm = [], [], None
-    carry = core.reshape(1, -1)
-    for n in modes[:-1]:
+    carry, rows, k = core.reshape(1, -1), 1, 0
+    while (not rest and k < len(modes) - 1 and rows * modes[k] <= _WIDE
+           and carry.size >= _WIDE * (rows * modes[k])**2):
+        rows, k = rows * modes[k], k + 1
+    if k > 1:  # steps 1..k run on R.T of the unfolding X = R.T Q.T
+        block = carry.reshape(rows, -1)
+        carry = _tsqr_r(block).T.reshape(1, -1)
+    for nu, n in enumerate(modes[:-1]):
         u, carry, s, norm = _svd_step(carry.reshape(carry.shape[0] * n, -1),
                                       norm, delta, rel_floor)
         cores.append(u.reshape(-1, n, u.shape[1]))
         spectra.append(s)
+        if nu + 1 == k > 1:  # the true carry L.T X, L the block's cores
+            basis = np.ones((1, 1))
+            for g in cores:
+                basis = (basis @ g.reshape(g.shape[0], -1)).reshape(
+                    -1, g.shape[2])
+            carry = basis.T @ block / (norm or 1.0)
         if rest:
             carry = carry @ rest.pop()
     cores.append(carry.reshape(-1, modes[-1], 1))

@@ -119,6 +119,24 @@ def test_usage_errors_exit_2():
                    opt, "1") == 2
 
 
+def test_negative_values_reach_the_library_check(capsys):
+    """A negative value in exponent form, or a list that starts with a
+    negative number, reaches the library's range check (exit 2 with its
+    message), not argparse's `expected one argument`."""
+    cases = {("sweep", "--func", "sqrt", "--d-grid", "2", "--tol-grid", "0",
+              "--p", "-1e-3"): "p must be positive",
+             ("extend", "--func", "sqrt", "--d", "2", "--d-new", "3",
+              "--tol", "-1e-3"): "tol must be >= 0",
+             ("sweep", "--func", "sqrt", "--d-grid", "2",
+              "--tol-grid", "-1e-3,0"): "tol must be >= 0",
+             ("sweep", "--func", "sqrt", "--d-grid", "-1,2",
+              "--tol-grid", "0"): "grid levels must be >= 1"}
+    for argv, message in cases.items():
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert message in err and "expected one argument" not in err, argv
+
+
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys):
     """Non-finite values, non-integer lists, staircases
     that are not one, malformed specs and values the library rejects: exit 2

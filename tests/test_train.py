@@ -12,7 +12,7 @@ from ttfun import (BudgetError, CPRep, PolySpace, TensorTrain,
                    cp_from_tensorized, cp_to_tt, maxrank_growth, maxrank_pair,
                    tt_svd)
 from ttfun.approx import random_cp, random_train
-from ttfun.tensorized import _evaluate
+from ttfun.tensorized import _evaluate, _sweep
 
 
 def tensorize(f, space, d):
@@ -375,6 +375,51 @@ def test_sweep_matches_qr_reference(space, rng):
                     assert f.rank_profile(tol).ranks == tuple(
                         int(np.count_nonzero(s > tol * s[0]))
                         for s in spectra)
+
+
+@pytest.mark.parametrize("b,m,levels", [(2, 0, (8, 10, 12, 14)),
+                                        (2, 3, (8, 10, 12, 14)),
+                                        (3, 1, (6, 8)), (4, 1, (6,))])
+def test_sweep_block_matches_reference(b, m, levels):
+    """The full-tensor sweep, whose leading k wide modes share one TSQR
+    (k = 1, no block, for b=2, m=0 at d=8 and b=3 at d=6, up to k = 5 for
+    b=2, m=3 at d=14), against `reference_sweep` and one SVD per unfolding:
+    on corpus functions, an exact cubic (a singular R), a random full-rank
+    tensor and the zero tensor, the last three also scaled by 1e-300 and
+    1e300, the spectra agree within 1e-13 s[0], the ranks of rank_profile
+    and of each truncated sweep are equal, and the cores rebuild the tensor
+    within sqrt(tol^2 + 1e-24 sum_nu r_nu) ||f||."""
+    from test_tensorized import unfolding_ranks
+
+    def cubic(x):
+        return 1.0 - 3.0 * x + 2.0 * np.asarray(x) ** 3
+    tols = (0.0, 1e-8, 1e-3)
+    space = PolySpace(m, b)
+    rng = np.random.default_rng(100 * b + m)
+    for d in levels:
+        shape = (b,) * d + (m + 1,)
+        tensors = [tensorize(f, space, d).coeffs
+                   for _, f in corpus_functions()]
+        scaled = [tensorize(cubic, space, d).coeffs,
+                  rng.standard_normal(shape), np.zeros(shape)]
+        for x, scales in ([(x, (1.0,)) for x in tensors]
+                          + [(x, (1.0, 1e-300, 1e300)) for x in scaled]):
+            tf = TensorizedFunction(space, d, x)
+            profile = unfolding_ranks(tf, 1e-10)
+            refs = [reference_sweep([x], shape, tol) for tol in tols]
+            for c in scales:
+                assert (c * tf).rank_profile(1e-10).ranks == profile
+                for tol, (want, spectra) in zip(tols, refs):
+                    cores, got = _sweep([c * x], shape, tol)
+                    for s, t in zip(got, spectra, strict=True):
+                        assert s.shape == t.shape
+                        assert np.max(np.abs(s - t)) <= 1e-13 * t[0]
+                    ranks = [g.shape[2] for g in cores[:-1]]
+                    assert ranks == [g.shape[2] for g in want[:-1]]
+                    full = TensorTrain(space, cores).to_full().coeffs / c
+                    assert (np.linalg.norm(full - x)
+                            <= math.sqrt(tol**2 + 1e-24 * sum(ranks))
+                            * np.linalg.norm(x))
 
 
 def test_round_never_increases_ranks(space, rng):
