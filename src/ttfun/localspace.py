@@ -157,7 +157,14 @@ class PolySpace:
         a float for one row (m+1,), shape (n,) for rows (n, m+1)."""
         c = np.asarray(coeffs, dtype=float)
         rows = c.reshape(-1, self.dim)
-        crit = real_roots(self.differentiate(rows))
+        # A derivative entry k within the rounding error of forming it from
+        # its row, 4 eps max_j |c_j| sum_j |D_kj|, is zeroed, so that
+        # `real_roots` does not count the noise towards the degree.
+        deriv = self.differentiate(rows)
+        noise = (np.abs(rows).max(axis=1, keepdims=True)
+                 * np.abs(self.diff_matrix).sum(axis=1))
+        deriv[np.abs(deriv) <= 4.0 * np.finfo(float).eps * noise] = 0.0
+        crit = real_roots(deriv)
         cand = np.pad(crit, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
         vals = np.einsum("nk,knj->nj", rows, legendre_values(self.degree, cand))
         out = np.max(np.abs(vals), axis=1)

@@ -93,7 +93,8 @@ def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
     """Broken W^{k,p} seminorm (L^p norm for k = 0) of the cell rows `flat`
     (n, m+1): (sum_j b^{d(kp-1)} ||p_j^(k)||_p^p)^{1/p}, and b^{dk} max_j
     ||p_j^(k)||_inf for p = inf.  The rows go through `_unit` first (the
-    L^2 norm's through `_safe`, uncopied inside 2^+-480), and
+    L^2 norm's through `_safe`, uncopied inside 2^+-480, and their squares
+    are summed per cell by einsum, with no temporary of their size), and
     the sum S of p-th powers enters log space as (log S - d log b) / p, the
     difference taken first so that the two large terms of a small p do not
     cancel; the result is inf only when it leaves the float range."""
@@ -105,7 +106,7 @@ def _cell_norm(space: PolySpace, level: int, flat, k: int, p: float) -> float:
     if np.isinf(p):  # the sup itself: S = sup, no b^-d, power 1
         total, shift, p = _sup_abs(space, unit), 0.0, 1.0
     else:  # S = top^p total
-        cells, top = ((unit * unit, 1.0) if p == 2 else
+        cells, top = ((np.einsum("ij,ij->i", unit, unit), 1.0) if p == 2 else
                       _abs_power_cell_integrals(space, unit, p))
         total, shift = float(np.sum(cells)), level * log_b - p * math.log(top)
     if total == 0.0:
@@ -154,8 +155,8 @@ def _abs_power_cell_integrals(space: PolySpace, flat, p: float):
     return out, top
 
 
-# A sweep step is wide when its matrix has at least _WIDE times more
-# columns than rows; TSQR then reads it _CHUNK elements at a time.
+# A full-tensor sweep step is wide when its matrix has at least _WIDE times
+# more columns than rows; its block's TSQR reads it _CHUNK elements at a time.
 _WIDE = 32
 _CHUNK = 2**15
 
@@ -182,18 +183,8 @@ def _svd_step(mat: np.ndarray, norm, delta: float, rel_floor: float):
     rank r keeps the Frobenius tail ||s[r:]|| within delta, drops s <=
     rel_floor * s[0] (none of a nonzero mat if rel_floor < 0), is at least
     1 and is found on Python floats.  Returns u[:, :r], the carry
-    u[:, :r].T @ mat (over the norm), s and the norm.
-
-    A wide step (cols >= _WIDE * rows) takes u and s from the SVD of the
-    small R.T of mat.T = QR (Chan 1982), found by `_tsqr_r`, so no vt as
-    large as the matrix is formed.  Unlike the Gram matrix mat @ mat.T, R
-    resolves s far below 1e-8 s[0].  In the sweep of a full tensor the
-    wide steps are the first steps on the R.T of its leading block (or the
-    first step, if no block forms) and the later steps while the ranks
-    stay small; in a train only a bond far wider than the one before it."""
-    wide = mat.shape[1] >= _WIDE * mat.shape[0]
-    u, s, _ = np.linalg.svd(_tsqr_r(mat).T if wide else mat,
-                            full_matrices=False)
+    u[:, :r].T @ mat (over the norm), s and the norm."""
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
     first = norm is None
     if first:
         norm = float(s[0] * np.linalg.norm(s / s[0])) if s[0] > 0.0 else 0.0
@@ -221,17 +212,16 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
     sees the spectrum of prefix unfolding nu.  Returns the len(modes)
     cores of a train and each step's spectrum over the norm.
 
-    On the chain [coeffs] the first steps factor (r b, N) matrices with a
-    few rows and N up to b^d (m+1).  The leading k >= 2 modes whose
-    unfolding X (b^k rows, at most _WIDE, over N / b^k) is still wide form
-    one block: one `_tsqr_r` gives X = R.T Q.T with Q orthonormal, so the
-    k steps run on the small (b^k, b^k) matrix R.T and see the prefix
-    spectra, norm and truncations of X.  Every carry is u.T @ mat, so the
-    carry after the block is formed once as L.T X / norm, L the (b^k, r_k)
-    product of the block's cores; R, singular for a low-rank tensor, is
-    never inverted.  The block thus reads the tensor twice in all and
-    holds, besides the tensor, one TSQR chunk and the carry, r_k / b^k of
-    the tensor.  Later wide steps take their own TSQR in `_svd_step`.
+    On the chain [coeffs] a step whose unfolding X of the carry is wide
+    (at least _WIDE times more columns than rows) opens a block: it takes
+    that mode and the next ones while X keeps at most _WIDE rows and stays
+    wide.  One `_tsqr_r` gives X = R.T Q.T with Q orthonormal, so the
+    block's steps run on the small square R.T and see the prefix spectra,
+    norm and truncations of X.  Every carry is u.T @ mat, so the carry
+    after the block is formed once as L.T X, L the product of the block's
+    cores (over the norm if the block starts at step 0); R, singular for a
+    low-rank tensor, is never inverted.  A block thus reads its X twice
+    and holds, besides X, one TSQR chunk and the carry after it.
 
     Scale is handled here only: the last core (all of a full tensor) goes
     through `_safe`, each pushed factor is divided by its s[0] and the
@@ -259,24 +249,25 @@ def _sweep(chain, modes, tol: float, rel_floor: float = 1e-12):
         rest.append(u.T)
         core = left @ sv.T
     cores, spectra, norm = [], [], None
-    carry, rows, k = core.reshape(1, -1), 1, 0
-    while (not rest and k < len(modes) - 1 and rows * modes[k] <= _WIDE
-           and carry.size >= _WIDE * (rows * modes[k])**2):
-        rows, k = rows * modes[k], k + 1
-    if k > 1:  # steps 1..k run on R.T of the unfolding X = R.T Q.T
-        block = carry.reshape(rows, -1)
-        carry = _tsqr_r(block).T.reshape(1, -1)
+    carry, end = core.reshape(1, -1), 0
     for nu, n in enumerate(modes[:-1]):
+        rows = carry.shape[0] * n
+        if not rest and nu >= end and carry.size >= _WIDE * rows**2:
+            start, end = nu, nu + 1  # a block of modes start..end-1
+            while (end < len(modes) - 1 and rows * modes[end] <= _WIDE
+                   and carry.size >= _WIDE * (rows * modes[end])**2):
+                rows, end = rows * modes[end], end + 1
+            block, basis = carry.reshape(rows, -1), np.eye(carry.shape[0])
+            carry = _tsqr_r(block).T.reshape(carry.shape[0], -1)
         u, carry, s, norm = _svd_step(carry.reshape(carry.shape[0] * n, -1),
                                       norm, delta, rel_floor)
         cores.append(u.reshape(-1, n, u.shape[1]))
         spectra.append(s)
-        if nu + 1 == k > 1:  # the true carry L.T X, L the block's cores
-            basis = np.ones((1, 1))
-            for g in cores:
-                basis = (basis @ g.reshape(g.shape[0], -1)).reshape(
-                    -1, g.shape[2])
-            carry = basis.T @ block / (norm or 1.0)
+        if nu < end:  # L, the product of the block's cores so far
+            basis = (basis @ u.reshape(basis.shape[1], -1)).reshape(
+                -1, u.shape[1])
+        if nu + 1 == end:  # the true carry L.T X, over the norm at step 0
+            carry = basis.T / ((norm or 1.0) if start == 0 else 1.0) @ block
         if rest:
             carry = carry @ rest.pop()
     cores.append(carry.reshape(-1, modes[-1], 1))

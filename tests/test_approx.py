@@ -199,11 +199,17 @@ def test_corpus_functions_cover_cases():
 
 
 def test_lemma_corpus_passes_small():
-    report = lemma_corpus(b=2, degrees=(1,), d_max=4, n_pairs=10)
-    assert all(e["status"] == "pass" for e in report)
+    """Also at b=3 and b=5 with m=3, where lp-isometry-levels passes only
+    once `max_abs` drops the rounding noise of derivative rows (the sup of
+    gauss was 6.3e-8 off against the bound 1e-10)."""
     keys = {"lemma", "status", "constant_paper", "constant_measured",
             "worst_case_inputs"}
-    assert all(keys <= set(e) for e in report)
+    for b, degrees, d_max, n_pairs in ((2, (1,), 4, 10), (3, (3,), 3, 2),
+                                       (5, (3,), 3, 2)):
+        report = lemma_corpus(b=b, degrees=degrees, d_max=d_max,
+                              n_pairs=n_pairs)
+        assert [e["lemma"] for e in report if e["status"] != "pass"] == []
+        assert all(keys <= set(e) for e in report)
 
 
 def test_lemma_corpus_deterministic():

@@ -11,7 +11,7 @@ from ttfun import (BudgetError, PolySpace, TensorizedFunction, TensorTrain,
                    corpus_functions, cp_from_tensorized, tt_svd)
 from ttfun.cli import parse_function_spec
 from ttfun.tensorized import (_CHUNK, _WIDE, _check_p, _coarser, _next_digit,
-                              _restrict, _svd_step, _sweep, _tsqr_r, _unit)
+                              _restrict, _sweep, _tsqr_r, _unit)
 
 
 def quad_lp(f, p, ncell=64, order=64):
@@ -252,6 +252,22 @@ def test_lp_norm_memory_bounded(space):
     assert peak < 6e6
 
 
+def test_l2_norm_memory_bounded(space):
+    """lp_norm(2) at d=16 sums the squares per cell without a temporary as
+    large as the tensor: its traced peak is the per-cell sums, 1 / (m+1)
+    of the tensor, within 0.3x (1.00x when it formed unit * unit)."""
+    import tracemalloc
+    tf = TensorizedFunction.tensorize(np.sqrt, space, 16)
+    tracemalloc.start()
+    try:
+        norm = tf.lp_norm(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(norm - math.sqrt(0.5)) <= 1e-12
+    assert peak <= 0.3 * tf.coeffs.nbytes
+
+
 def test_l2_norm_uncopied_matches_unit_path():
     """The L^2 norm scales its rows through `_safe`, which copies nothing
     inside 2^+-480: over the corpus tensors and their scalings by 1e+-300
@@ -417,13 +433,19 @@ def test_rank_profile_matches_unfolding_svds(b):
 def test_rank_profile_matches_unfolding_svds_deep(space):
     """At d=18, where the first sweep steps are wide, also for the tensor
     scaled by 1e-300 and 1e300: the profile and the ranks of tt_svd(0.0)
-    stay those of the unscaled tensor."""
+    stay those of the unscaled tensor, and tt_svd(0.0) rebuilds it within
+    the sweep floor's bound sqrt(1e-24 sum_nu r_nu) ||f||_2 (sqrt lies
+    1.4e-12 ||f||_2 away, past 1e-12 alone).  For sin:3 a second block of
+    several modes opens after the leading one."""
     for name in ("sqrt", "sin:3", "abs_power:0.5,0.6"):
         f, _ = parse_function_spec(name)
         tf = TensorizedFunction.tensorize(f, space, 18)
         want = tf.rank_profile().ranks
         assert want == unfolding_ranks(tf, 1e-10)
-        exact = tt_svd(tf, 0.0).ranks
+        tt = tt_svd(tf, 0.0)
+        assert ((tt.to_full() - tf).lp_norm(2)
+                <= 1e-12 * math.sqrt(sum(tt.ranks)) * tf.lp_norm(2))
+        exact = tt.ranks
         for c in (1e-300, 1e300):
             assert (c * tf).rank_profile().ranks == want
             assert tt_svd(c * tf, 0.0).ranks == exact
@@ -431,9 +453,11 @@ def test_rank_profile_matches_unfolding_svds_deep(space):
 
 @pytest.mark.parametrize("k", [2, 8, 16])
 def test_svd_step_wide_planted_spectrum(k):
-    """A wide step (2^16 columns) goes through TSQR: a planted spectrum
-    logspace(0, -14, k) comes back within 1e-14 s[0], and u @ carry
-    rebuilds the matrix within 1e-14 of its norm."""
+    """A wide step (2^16 columns) opens a one-mode block of `_sweep`, which
+    goes through TSQR: on the chain [mat.reshape(k, 2^15, 2)] a planted
+    spectrum logspace(0, -14, k) comes back as the first spectrum within
+    1e-14 s[0], and the cores rebuild the matrix within 1e-14 of its
+    norm."""
     n = 2**16
     assert n >= _WIDE * k
     rng = np.random.default_rng(k)
@@ -441,10 +465,15 @@ def test_svd_step_wide_planted_spectrum(k):
     v0, _ = np.linalg.qr(rng.standard_normal((n, k)))
     want = np.logspace(0, -14, k)
     mat = (u0 * want) @ v0.T
-    u, carry, s, norm = _svd_step(mat, 1.0, 0.0, 0.0)
-    assert norm == 1.0 and s.shape == (k,)
+    cores, spectra = _sweep([mat.reshape(k, n // 2, 2)], (k, n // 2, 2),
+                            0.0, 0.0)
+    s = spectra[0] * np.linalg.norm(want)
+    assert s.shape == (k,) and cores[0].shape == (1, k, k)
     assert np.max(np.abs(s - want)) <= 1e-14 * want[0]
-    assert (np.linalg.norm(u @ carry - mat)
+    full = cores[0].reshape(k, -1)
+    for g in cores[1:]:
+        full = full.reshape(-1, g.shape[0]) @ g.reshape(g.shape[0], -1)
+    assert (np.linalg.norm(full.reshape(k, n) - mat)
             <= 1e-14 * np.linalg.norm(mat))
 
 
@@ -484,10 +513,11 @@ def test_tsqr_r_memory_bounded():
 
 def test_sweep_memory_bounded(space):
     """rank_profile and tt_svd(0.0) at d=16 peak at most 1.0x the tensor
-    (0.51x is measured; 2.0x when each wide step read the tensor itself).
-    The leading wide modes share one TSQR, which copies one chunk at a
-    time, so the peak is the carry after that block, r_k / b^k of the
-    tensor, plus one TSQR chunk; each later step drops its factors on
+    (0.53x is measured; 2.0x when each wide step read the tensor itself).
+    Each wide run of digit modes is one block with one TSQR, which copies
+    one chunk at a time, so the peak is the carry after the leading block,
+    r_k / b^k of the tensor, plus a TSQR chunk and its qr copy (1/8 of the
+    tensor each at d=16) in the next block; each step drops its factors on
     return.  tracemalloc does not see LAPACK's own work buffers, so this
     bounds numpy's arrays only; the RSS of deep runs is measured outside
     the test suite."""

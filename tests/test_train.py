@@ -381,9 +381,10 @@ def test_sweep_matches_qr_reference(space, rng):
                                         (2, 3, (8, 10, 12, 14)),
                                         (3, 1, (6, 8)), (4, 1, (6,))])
 def test_sweep_block_matches_reference(b, m, levels):
-    """The full-tensor sweep, whose leading k wide modes share one TSQR
-    (k = 1, no block, for b=2, m=0 at d=8 and b=3 at d=6, up to k = 5 for
-    b=2, m=3 at d=14), against `reference_sweep` and one SVD per unfolding:
+    """The full-tensor sweep, in which each wide run of digit modes shares
+    one TSQR (a leading block of one mode for b=2, m=0 at d=8 and b=3 at
+    d=6, up to five for b=2, m=3 at d=14, and later blocks of one or more
+    modes after it), against `reference_sweep` and one SVD per unfolding:
     on corpus functions, an exact cubic (a singular R), a random full-rank
     tensor and the zero tensor, the last three also scaled by 1e-300 and
     1e300, the spectra agree within 1e-13 s[0], the ranks of rank_profile
